@@ -165,11 +165,6 @@ let ensure_index r pattern =
     r.indexes <- (pattern, positions, idx) :: r.indexes;
     idx
 
-let prepare_index r pattern =
-  if Array.length pattern <> r.arity then
-    invalid_arg "Relation.prepare_index: pattern arity mismatch";
-  if not (Array.for_all not pattern) then ignore (ensure_index r pattern)
-
 (* newest first: skip stamps >= hi, stop below lo *)
 let rec iter_bucket ~lo ~hi f = function
   | [] -> ()

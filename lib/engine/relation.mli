@@ -74,13 +74,6 @@ val iter_matching_in :
   t -> pattern:bool array -> key:Tuple.t -> lo:int -> hi:int -> (Tuple.t -> unit) -> unit
 (** {!iter_matching} restricted to the stamp range [\[lo, hi)]. *)
 
-val prepare_index : t -> bool array -> unit
-(** Build the index for [pattern] now if it does not exist (an all-false
-    pattern needs none).  Indexes are otherwise created lazily by the
-    first matching probe — a hidden write.  The parallel executor calls
-    this for every pattern its read-only workers will probe, so that a
-    fanned-out scan never mutates the relation it reads. *)
-
 val copy : t -> t
 (** A fresh relation with the same tuples, re-stamped in insertion order,
     and no indexes. *)

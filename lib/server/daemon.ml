@@ -72,8 +72,9 @@ let handle_conn registry fd =
      (* broken pipe, malformed channel state: drop the connection, keep
         the daemon *)
      ());
-  (try close_out_noerr oc with _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (* closes [fd] too; a second close could hit the same descriptor
+     number already reused by another domain's socket *)
+  close_out_noerr oc;
   !shutdown
 
 let bind_listen = function

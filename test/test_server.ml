@@ -2,7 +2,8 @@
    paths, the write-preferring RW lock, snapshot stability under
    insertion, the registry's cache/epoch discipline (hits, transaction
    invalidation, monotone seed installs), budget-exhaustion recovery,
-   one socket end-to-end round, and the snapshot-consistency property
+   socket end-to-end rounds under a deadline (one daemon, a restart over
+   a durable store, many start/shutdown cycles), and the snapshot-consistency property
    interleaving transactions with cross-domain reads. *)
 
 open Datalog
@@ -310,55 +311,113 @@ let test_registry_budget_recovery () =
 (* daemon end to end                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Serve [r] on an ephemeral TCP port, run [f port c] over one client
+   connection [c], then shut the daemon down and close the registry.  Every
+   wait is polled against a deadline, so a lost wake-up (the acceptor
+   never leaving accept, a worker never exiting) or a daemon that dies
+   before listening fails the test with a diagnostic instead of stalling
+   the suite. *)
+let with_daemon r f =
+  let deadline = 10. in
+  let port = Atomic.make None in
+  let finished = Atomic.make None in
+  let on_ready = function
+    | Unix.ADDR_INET (_, p) -> Atomic.set port (Some p)
+    | _ -> ()
+  in
+  let daemon =
+    Domain.spawn (fun () ->
+        Atomic.set finished
+          (Some
+             (match Server.Daemon.run ~jobs:2 ~on_ready (Server.Daemon.Tcp 0) r with
+             | () -> None
+             | exception e -> Some (Printexc.to_string e))))
+  in
+  let await what ready =
+    let t0 = Unix.gettimeofday () in
+    let rec go () =
+      match ready () with
+      | Some v -> v
+      | None ->
+        (match Atomic.get finished with
+        | Some (Some e) -> Alcotest.failf "daemon raised %s before %s" e what
+        | _ -> ());
+        if Unix.gettimeofday () -. t0 > deadline then
+          Alcotest.failf "daemon: no %s within %.0fs" what deadline;
+        Unix.sleepf 0.002;
+        go ()
+    in
+    go ()
+  in
+  let port = await "listening socket" (fun () -> Atomic.get port) in
+  let c = Server.Client.tcp port in
+  let out = f port c in
+  (match Server.Client.request c P.Shutdown with
+  | P.Shutdown_ack -> ()
+  | _ -> Alcotest.fail "shutdown over the socket");
+  Server.Client.close c;
+  (match await "exit after shutdown" (fun () -> Atomic.get finished) with
+  | None -> Domain.join daemon
+  | Some e -> Alcotest.failf "daemon raised %s during shutdown" e);
+  Server.Registry.close r;
+  out
+
 let test_daemon_socket_roundtrip () =
   let p = program tc_src in
   let r =
     Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
       ~edb:(chain_edb 3 [])
   in
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let port = ref None in
-  let on_ready = function
-    | Unix.ADDR_INET (_, p) ->
-      Mutex.lock m;
-      port := Some p;
-      Condition.signal cv;
-      Mutex.unlock m
-    | _ -> ()
-  in
-  let daemon =
-    Domain.spawn (fun () -> Server.Daemon.run ~jobs:2 ~on_ready (Server.Daemon.Tcp 0) r)
-  in
-  Mutex.lock m;
-  while !port = None do
-    Condition.wait cv m
-  done;
-  Mutex.unlock m;
-  let c = Server.Client.tcp (Option.get !port) in
-  (match Server.Client.request c (P.Query (path_q (n 0))) with
-  | P.Answers { answers; _ } ->
-    Alcotest.check rows "served answers"
-      [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
-      answers
-  | _ -> Alcotest.fail "query over the socket");
-  (match Server.Client.request c (P.Txn [ M.Insert (edge (n 3) (n 4)) ]) with
-  | P.Committed { epoch = 1; _ } -> ()
-  | _ -> Alcotest.fail "txn over the socket");
-  (match Server.Client.request c (P.Query (path_q (n 0))) with
-  | P.Answers { epoch = 1; answers; _ } ->
-    Alcotest.(check int) "post-txn count" 4 (List.length answers)
-  | _ -> Alcotest.fail "re-read over the socket");
-  (match Server.Client.request c (P.Stats) with
-  | P.Stats_reply fields ->
-    Alcotest.(check (option string)) "epoch stat" (Some "1")
-      (List.assoc_opt "epoch" fields)
-  | _ -> Alcotest.fail "stats over the socket");
-  (match Server.Client.request c P.Shutdown with
-  | P.Shutdown_ack -> ()
-  | _ -> Alcotest.fail "shutdown over the socket");
-  Server.Client.close c;
-  Domain.join daemon
+  with_daemon r (fun _ c ->
+      (match Server.Client.request c (P.Query (path_q (n 0))) with
+      | P.Answers { answers; _ } ->
+        Alcotest.check rows "served answers"
+          [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
+          answers
+      | _ -> Alcotest.fail "query over the socket");
+      (match Server.Client.request c (P.Txn [ M.Insert (edge (n 3) (n 4)) ]) with
+      | P.Committed { epoch = 1; _ } -> ()
+      | _ -> Alcotest.fail "txn over the socket");
+      (match Server.Client.request c (P.Query (path_q (n 0))) with
+      | P.Answers { epoch = 1; answers; _ } ->
+        Alcotest.(check int) "post-txn count" 4 (List.length answers)
+      | _ -> Alcotest.fail "re-read over the socket");
+      match Server.Client.request c P.Stats with
+      | P.Stats_reply fields ->
+        Alcotest.(check (option string)) "epoch stat" (Some "1")
+          (List.assoc_opt "epoch" fields)
+      | _ -> Alcotest.fail "stats over the socket")
+
+(* regression guard for descriptor reuse across domains: connections
+   closed by the workers and by the clients, interleaved with the
+   shutdown wake-up, once closed a descriptor number twice — killing a
+   socket another domain had just been handed.  Many short daemon
+   lifetimes, each with several connections, give that reuse window
+   plenty of chances to show. *)
+let test_daemon_cycles () =
+  let p = program tc_src in
+  for cycle = 1 to 100 do
+    let r =
+      Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
+        ~edb:(chain_edb 3 [])
+    in
+    with_daemon r (fun port c ->
+        let read c =
+          match Server.Client.request c (P.Query (path_q (n 0))) with
+          | P.Answers { answers; _ } ->
+            Alcotest.(check int) (Fmt.str "cycle %d: answers" cycle) 3
+              (List.length answers)
+          | _ -> Alcotest.failf "cycle %d: query over the socket" cycle
+        in
+        (* [c] holds one of the two workers, so each other connection
+           must close before the next can be served *)
+        for _ = 1 to 3 do
+          let o = Server.Client.tcp port in
+          read o;
+          Server.Client.close o
+        done;
+        read c)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* daemon restart over a durable store                                 *)
@@ -370,36 +429,6 @@ let rec rm_rf path =
     Sys.rmdir path
   end
   else Sys.remove path
-
-let with_daemon r f =
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let port = ref None in
-  let on_ready = function
-    | Unix.ADDR_INET (_, p) ->
-      Mutex.lock m;
-      port := Some p;
-      Condition.signal cv;
-      Mutex.unlock m
-    | _ -> ()
-  in
-  let daemon =
-    Domain.spawn (fun () -> Server.Daemon.run ~jobs:2 ~on_ready (Server.Daemon.Tcp 0) r)
-  in
-  Mutex.lock m;
-  while !port = None do
-    Condition.wait cv m
-  done;
-  Mutex.unlock m;
-  let c = Server.Client.tcp (Option.get !port) in
-  let out = f c in
-  (match Server.Client.request c P.Shutdown with
-  | P.Shutdown_ack -> ()
-  | _ -> Alcotest.fail "shutdown over the socket");
-  Server.Client.close c;
-  Domain.join daemon;
-  Server.Registry.close r;
-  out
 
 let test_daemon_restart_durable () =
   let p = program tc_src in
@@ -417,7 +446,7 @@ let test_daemon_restart_durable () =
         Server.Registry.create ~strategy:Incr.Session.GMS ~db:dir p
           (path_q (n 0)) ~edb:(chain_edb 3 [])
       in
-      with_daemon r1 (fun c ->
+      with_daemon r1 (fun _ c ->
           (match Server.Client.request c (P.Txn [ M.Insert (edge (n 3) (n 4)) ]) with
           | P.Committed { epoch = 1; _ } -> ()
           | _ -> Alcotest.fail "txn in the first lifetime");
@@ -434,7 +463,7 @@ let test_daemon_restart_durable () =
       Alcotest.(check int) "epoch restarts at 0" 0 (Server.Registry.epoch r2);
       Alcotest.(check (option string)) "restored from disk" (Some "true")
         (List.assoc_opt "persist_restored" (Server.Registry.stats_fields r2));
-      with_daemon r2 (fun c ->
+      with_daemon r2 (fun _ c ->
           (match Server.Client.request c (P.Query (path_q (n 0))) with
           | P.Answers { epoch = 0; answers; _ } ->
             Alcotest.check rows "state carried across restart"
@@ -586,6 +615,8 @@ let suite =
       test_daemon_socket_roundtrip;
     Alcotest.test_case "daemon: restart over a durable store" `Quick
       test_daemon_restart_durable;
+    Alcotest.test_case "daemon: start/roundtrip/shutdown cycles" `Quick
+      test_daemon_cycles;
     prop_serve_consistency;
     prop_partial_equals_full;
   ]

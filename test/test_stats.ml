@@ -51,8 +51,8 @@ let test_merge_sums_maintenance_counters () =
   Alcotest.(check int) "rederived" 1 m.S.rederived;
   Alcotest.(check int) "delta firings" 15 m.S.delta_firings
 
-(* every counter, the parallel fan-out fields included, plus one
-   per-predicate count — the full observable state of a Stats.t *)
+(* every counter plus one per-predicate count — the full observable
+   state of a Stats.t *)
 let stats_tuple s =
   ( ( s.S.iterations,
       s.S.firings,
@@ -61,12 +61,6 @@ let stats_tuple s =
       s.S.probes,
       s.S.subqueries ),
     (s.S.overdeleted, s.S.rederived, s.S.delta_firings),
-    ( s.S.par_jobs,
-      s.S.par_rounds,
-      s.S.par_fallback_rounds,
-      s.S.par_tasks,
-      s.S.par_wall_s,
-      s.S.par_busy_s ),
     S.facts_for s sym )
 
 let fill i =
@@ -77,20 +71,14 @@ let fill i =
   s.S.overdeleted <- i;
   s.S.rederived <- 2 * i;
   s.S.delta_firings <- 3 * i;
-  s.S.par_jobs <- i;
-  s.S.par_rounds <- i + 1;
-  s.S.par_fallback_rounds <- 2 * i;
-  s.S.par_tasks <- 5 * i;
-  s.S.par_wall_s <- 0.25 *. float_of_int i;
-  s.S.par_busy_s <- 0.75 *. float_of_int i;
   for _ = 1 to i do
     S.record_fact s sym ~is_new:true
   done;
   S.record_fact s sym ~is_new:false;
   s
 
-(* absorb is the in-place merge the parallel barrier uses: absorbing b
-   into a copy of a must equal merge a b on every field *)
+(* absorb is the in-place merge: absorbing b into a copy of a must
+   equal merge a b on every field *)
 let test_absorb_equals_merge () =
   let a = fill 2 and b = fill 5 in
   let m = S.merge a b in
@@ -102,26 +90,19 @@ let test_absorb_equals_merge () =
   S.record_fact b sym ~is_new:true;
   Alcotest.(check int) "later recording into b does not leak" 7 (S.facts_for into sym)
 
-(* worker stats arrive at the barrier in scheduling order; the combine
-   must not care: commutative and associative on every field, with
-   par_jobs combining by max (a pool width, not an amount of work) *)
+(* the combine must not depend on the order stats are folded in:
+   commutative and associative on every field *)
 let test_merge_commutative_associative () =
   let a = fill 1 and b = fill 3 and c = fill 4 in
   Alcotest.(check bool) "commutative" true
     (stats_tuple (S.merge a b) = stats_tuple (S.merge b a));
   Alcotest.(check bool) "associative" true
-    (stats_tuple (S.merge (S.merge a b) c) = stats_tuple (S.merge a (S.merge b c)));
-  let m = S.merge a c in
-  Alcotest.(check int) "par_jobs combines by max" 4 m.S.par_jobs;
-  Alcotest.(check int) "par_rounds sums" 7 m.S.par_rounds;
-  Alcotest.(check int) "par_tasks sums" 25 m.S.par_tasks;
-  Alcotest.(check (float 1e-9)) "par_wall_s sums" 1.25 m.S.par_wall_s;
-  Alcotest.(check (float 1e-9)) "par_busy_s sums" 3.75 m.S.par_busy_s
+    (stats_tuple (S.merge (S.merge a b) c) = stats_tuple (S.merge a (S.merge b c)))
 
-(* regression (PR 6): the parallel engine's per-slice probe correction
-   could underflow a worker's counter; absorbing a negative counter
-   would silently corrupt every later report, so absorb rejects it on
-   either side and leaves [into] untouched *)
+(* regression: an underflowing counter correction once produced a
+   negative counter; absorbing one would silently corrupt every later
+   report, so absorb rejects it on either side and leaves [into]
+   untouched *)
 let test_absorb_rejects_negative_counters () =
   let check_rejected label src =
     let into = fill 2 in
@@ -139,9 +120,6 @@ let test_absorb_rejects_negative_counters () =
   in
   check_rejected "probes" (negative (fun s -> s.S.probes <- -1));
   check_rejected "facts" (negative (fun s -> s.S.facts <- -3));
-  check_rejected "par_tasks" (negative (fun s -> s.S.par_tasks <- -2));
-  check_rejected "par_fallback_rounds"
-    (negative (fun s -> s.S.par_fallback_rounds <- -1));
   (* a negative counter in the destination is just as much a bug *)
   let into = fill 1 in
   into.S.rederivations <- -5;
@@ -153,8 +131,8 @@ let test_absorb_rejects_negative_counters () =
   S.absorb ~into (fill 3);
   Alcotest.(check int) "normal absorb unaffected" 3 into.S.iterations
 
-(* gc counters are per-domain: a parallel phase's total is the sum of
-   each domain's delta, folded with gc_add from the gc_zero identity *)
+(* gc counters are per-domain: a multi-domain region's total is the sum
+   of each domain's delta, folded with gc_add from the gc_zero identity *)
 let test_gc_add () =
   let g1 =
     {
