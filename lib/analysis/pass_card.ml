@@ -4,9 +4,18 @@
 
    The numbers are deliberate over-estimates compared against each
    other by Pass_cost — they are never used as hard limits, so the
-   arithmetic favours simplicity and monotonicity over tightness. *)
+   arithmetic favours simplicity and monotonicity over tightness.
+
+   Which variables are bound at each body literal depends only on the
+   rule, so every rule is compiled once per [analyze] into a small op
+   sequence over a float environment (one slot per variable), and
+   predicate statistics live in arrays indexed by dense predicate
+   slots: a fixpoint round is plain float arithmetic. *)
 
 open Datalog
+module Value = Engine.Value
+module Relation = Engine.Relation
+module Itbl = Hashtbl.Make (Int)
 
 type stat = { card : float; distinct : float array }
 
@@ -15,8 +24,262 @@ let default_card = 1000.
 let max_rounds = 12
 let huge = 1e18
 
+let zero_stat arity = { card = 0.; distinct = Array.make (max arity 0) 1. }
+let clamp1 x = Float.max 1. x
+
+(* ---- extensional statistics ---- *)
+
+type edb = {
+  symbols : Symbol.t list;  (** every relation of the database, empty ones included *)
+  rels : (Relation.t * stat) Symbol.Tbl.t;  (** the non-empty relations *)
+  values : unit Itbl.t;  (** distinct values across all tuples *)
+  facts : int;
+}
+
+(* card and per-column distinct counts of the tuples [iter] visits,
+   recording every value in [values] *)
+let stat_of_tuples ~values arity iter =
+  let cols = Array.init (max arity 0) (fun _ -> Itbl.create 16) in
+  let n = ref 0 in
+  iter (fun (t : Engine.Tuple.t) ->
+      incr n;
+      Array.iteri
+        (fun i v ->
+          let v = Value.to_int v in
+          Itbl.replace cols.(i) v ();
+          Itbl.replace values v ())
+        t);
+  {
+    card = float_of_int !n;
+    distinct = Array.map (fun h -> float_of_int (max 1 (Itbl.length h))) cols;
+  }
+
+let measure db =
+  let symbols = Engine.Database.symbols db in
+  let rels = Symbol.Tbl.create 16 in
+  let values = Itbl.create 256 in
+  List.iter
+    (fun (sym : Symbol.t) ->
+      match Engine.Database.find db sym with
+      | Some r when Relation.cardinal r > 0 ->
+        let s = stat_of_tuples ~values sym.Symbol.arity (fun f -> Relation.iter f r) in
+        Symbol.Tbl.replace rels sym (r, s)
+      | _ -> ())
+    symbols;
+  { symbols; rels; values; facts = Engine.Database.total db }
+
+let edb_facts e = e.facts
+let universe_of_count n = float_of_int (max 2 n)
+let edb_universe e = universe_of_count (Itbl.length e.values)
+
+let no_edb () =
+  { symbols = []; rels = Symbol.Tbl.create 1; values = Itbl.create 1; facts = 0 }
+
+(* The measured statistics with ground [seeds] added as facts, exactly
+   as if they had been inserted into a copy of the database: a relation
+   the seeds extend is re-measured over its tuples plus the new ones.
+   Returns the per-symbol stats, the symbols, the fact count and the
+   distinct-value count. *)
+let overlay e seeds =
+  let rels = Symbol.Tbl.create 16 in
+  Symbol.Tbl.iter (fun sym (_, s) -> Symbol.Tbl.replace rels sym s) e.rels;
+  let symbols = ref (Symbol.Set.of_list e.symbols) in
+  (* per symbol, the seed tuples its relation lacks, deduplicated *)
+  let fresh = Symbol.Tbl.create 4 in
+  List.iter
+    (fun (a : Atom.t) ->
+      let sym = Atom.symbol a in
+      let t = Engine.Tuple.of_list (List.map Term.eval a.Atom.args) in
+      let known =
+        match Symbol.Tbl.find_opt e.rels sym with
+        | Some (r, _) -> Relation.mem r t
+        | None -> false
+      in
+      let prev = Option.value ~default:[] (Symbol.Tbl.find_opt fresh sym) in
+      symbols := Symbol.Set.add sym !symbols;
+      if not (known || List.exists (Engine.Tuple.equal t) prev) then
+        Symbol.Tbl.replace fresh sym (t :: prev))
+    seeds;
+  let facts = ref e.facts in
+  let new_values = Itbl.create 16 in
+  Symbol.Tbl.iter
+    (fun sym tuples ->
+      let iter f =
+        Option.iter (fun (r, _) -> Relation.iter f r) (Symbol.Tbl.find_opt e.rels sym);
+        List.iter f tuples
+      in
+      let values = Itbl.create 16 in
+      Symbol.Tbl.replace rels sym (stat_of_tuples ~values sym.Symbol.arity iter);
+      facts := !facts + List.length tuples;
+      Itbl.iter
+        (fun v () -> if not (Itbl.mem e.values v) then Itbl.replace new_values v ())
+        values)
+    fresh;
+  (rels, !symbols, !facts, Itbl.length e.values + Itbl.length new_values)
+
+(* ---- compiled rules ----
+
+   A rule body is walked left to right keeping a frontier (number of
+   partial derivations alive) and a per-variable distinct estimate.  A
+   positive literal over stat s with a set of already-bound columns
+   matches [s.card / prod (distinct of bound columns)] tuples per
+   frontier row; negation and comparisons filter at selectivity 1/2; a
+   binding equality transfers distincts without shrinking the frontier.
+
+   Compilation resolves variables to environment slots and predicates
+   to stat slots, and decides statically which variables each literal
+   finds bound; evaluation replays the same float operations in the
+   same order. *)
+
+(* bind variable [slot] to a distinct estimate; [fresh] when it was
+   unbound before (otherwise the tighter estimate wins) *)
+type bind = { col : int; slot : int; fresh : bool }
+
+type op =
+  | Halve  (** negation or comparison: selectivity 1/2 *)
+  | Equate of { src : int array; dst : bind array }
+      (** binding equality: the bound side's distinct product ([src]
+          slots) flows to the unbound side's variables *)
+  | Join of { pred : int; bound_cols : int array; binds : bind array }
+      (** positive literal over predicate slot [pred] *)
+
+type crule = {
+  ops : op array;
+  head : int array array;
+      (** per head argument, the variable slots whose distincts multiply
+          into its estimate ([-1]: never bound, the universe) *)
+  env : float array;
+  contrib : float array;  (** per head column, filled by [eval_rule] *)
+  mutable out : float;  (** output estimate, filled by [eval_rule] *)
+  mutable probes : float;  (** probe sum, filled by [eval_rule] *)
+}
+
+let compile_rule slot_of (r : Rule.t) =
+  let vars : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let bound : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  let var_slot v =
+    match Hashtbl.find_opt vars v with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length vars in
+      Hashtbl.replace vars v i;
+      i
+  in
+  let term_bound t = List.for_all (Hashtbl.mem bound) (Term.vars t) in
+  (* sequential: a variable repeated within one literal is fresh only
+     at its first occurrence *)
+  let binds_of col_vars =
+    let binds =
+      List.fold_left
+        (fun acc (col, v) ->
+          let fresh = not (Hashtbl.mem bound v) in
+          Hashtbl.replace bound v ();
+          { col; slot = var_slot v; fresh } :: acc)
+        [] col_vars
+    in
+    Array.of_list (List.rev binds)
+  in
+  let op_of lit =
+    let a = Rule.atom_of_literal lit in
+    if Atom.is_builtin a then
+      match (a.Atom.pred, a.Atom.args) with
+      | "=", [ x; y ] when term_bound x && not (term_bound y) ->
+        let src = Array.of_list (List.map var_slot (Term.vars x)) in
+        Equate { src; dst = binds_of (List.map (fun v -> (0, v)) (Term.vars y)) }
+      | "=", [ x; y ] when term_bound y && not (term_bound x) ->
+        let src = Array.of_list (List.map var_slot (Term.vars y)) in
+        Equate { src; dst = binds_of (List.map (fun v -> (0, v)) (Term.vars x)) }
+      | _ -> Halve
+    else
+      match lit with
+      | Rule.Neg _ -> Halve
+      | Rule.Pos _ ->
+        let bound_cols =
+          List.mapi (fun i arg -> if term_bound arg then [ i ] else []) a.Atom.args
+          |> List.concat |> Array.of_list
+        in
+        let col_vars =
+          List.mapi (fun i arg -> List.map (fun v -> (i, v)) (Term.vars arg)) a.Atom.args
+          |> List.concat
+        in
+        Join { pred = slot_of (Atom.symbol a); bound_cols; binds = binds_of col_vars }
+  in
+  let ops =
+    List.fold_left (fun acc l -> op_of l :: acc) [] r.Rule.body |> List.rev |> Array.of_list
+  in
+  let head =
+    Array.of_list
+      (List.map
+         (fun arg ->
+           Array.of_list
+             (List.map
+                (fun v -> if Hashtbl.mem bound v then var_slot v else -1)
+                (Term.vars arg)))
+         r.Rule.head.Atom.args)
+  in
+  {
+    ops;
+    head;
+    env = Array.make (Hashtbl.length vars) 1.;
+    contrib = Array.make (Array.length head) 1.;
+    out = 0.;
+    probes = 0.;
+  }
+
+(* Run one compiled rule over the stats [card]/[dist]: leaves the
+   output estimate in [r.out], the probe sum (the frontier sizes
+   entering each literal) in [r.probes] and the per-head-column
+   estimates in [r.contrib].  Plain loops keep the float accumulators
+   unboxed. *)
+let eval_rule card dist universe r =
+  let env = r.env in
+  let frontier = ref 1. and probes = ref 0. in
+  for k = 0 to Array.length r.ops - 1 do
+    probes := Float.min huge (!probes +. !frontier);
+    match r.ops.(k) with
+    | Halve -> frontier := !frontier *. 0.5
+    | Equate { src; dst } ->
+      let d = ref 1. in
+      for j = 0 to Array.length src - 1 do
+        d := !d *. env.(src.(j))
+      done;
+      for j = 0 to Array.length dst - 1 do
+        let { slot; fresh; _ } = dst.(j) in
+        env.(slot) <- clamp1 (if fresh then !d else Float.min env.(slot) !d)
+      done
+    | Join { pred; bound_cols; binds } ->
+      let c = card.(pred) and ds = dist.(pred) in
+      let sel = ref 1. in
+      for j = 0 to Array.length bound_cols - 1 do
+        sel := !sel /. clamp1 (Float.min ds.(bound_cols.(j)) (clamp1 c))
+      done;
+      frontier := Float.min huge (!frontier *. (c *. !sel));
+      for j = 0 to Array.length binds - 1 do
+        let { col; slot; fresh } = binds.(j) in
+        let d = ds.(col) in
+        env.(slot) <- clamp1 (if fresh then d else Float.min env.(slot) d)
+      done
+  done;
+  let head_cap = ref 1. in
+  for i = 0 to Array.length r.head - 1 do
+    let slots = r.head.(i) in
+    let d = ref 1. in
+    for j = 0 to Array.length slots - 1 do
+      let s = slots.(j) in
+      d := !d *. if s < 0 then universe else env.(s)
+    done;
+    r.contrib.(i) <- !d;
+    head_cap := Float.min huge (!head_cap *. !d)
+  done;
+  r.out <- Float.max 0. (Float.min !frontier !head_cap);
+  r.probes <- !probes
+
+(* ---- the analysis ---- *)
+
 type t = {
-  stats : (Symbol.t, stat) Hashtbl.t;
+  slots : int Symbol.Tbl.t;
+  cards : float array;
+  dists : float array array;
   universe : float;
   measured : bool;
   widened : Symbol.t list;
@@ -29,11 +292,9 @@ let universe t = t.universe
 let measured t = t.measured
 let widened t = t.widened
 
-let zero_stat arity = { card = 0.; distinct = Array.make (max arity 0) 1. }
-
 let stat t sym =
-  match Hashtbl.find_opt t.stats sym with
-  | Some s -> s
+  match Symbol.Tbl.find_opt t.slots sym with
+  | Some i -> { card = t.cards.(i); distinct = t.dists.(i) }
   | None -> zero_stat sym.Symbol.arity
 
 let total_derived t =
@@ -42,222 +303,116 @@ let total_derived t =
 let est_rounds t = t.rounds
 let est_probes t = t.probes
 
-(* ---- extensional statistics ---- *)
+let product caps = Array.fold_left (fun a c -> Float.min huge (a *. c)) 1. caps
 
-let stat_of_facts arity facts =
-  let n = List.length facts in
-  let cols = Array.init (max arity 0) (fun _ -> Hashtbl.create 16) in
-  List.iter
-    (fun (a : Atom.t) ->
-      List.iteri
-        (fun i arg -> if i < arity then Hashtbl.replace cols.(i) arg ())
-        a.Atom.args)
-    facts;
-  {
-    card = float_of_int n;
-    distinct = Array.map (fun h -> float_of_int (max 1 (Hashtbl.length h))) cols;
-  }
-
-let universe_of_db db =
-  let h = Hashtbl.create 256 in
-  List.iter
-    (fun (a : Atom.t) -> List.iter (fun arg -> Hashtbl.replace h arg ()) a.Atom.args)
-    (Engine.Database.all_facts db);
-  float_of_int (max 2 (Hashtbl.length h))
-
-(* ---- per-rule estimation ---- *)
-
-let clamp1 x = Float.max 1. x
-
-(* distinct-value estimate for a term under the variable environment *)
-let term_distinct var_d universe (t : Term.t) =
-  if Term.is_ground t then 1.
-  else
-    List.fold_left
-      (fun acc v ->
-        acc
-        *. (match Hashtbl.find_opt var_d v with Some d -> d | None -> universe))
-      1. (Term.vars t)
-
-(* Walk the body left to right keeping a frontier (number of partial
-   derivations alive) and a per-variable distinct estimate.  A positive
-   literal over stat s with a set of already-bound columns matches
-   [s.card / prod (distinct of bound columns)] tuples per frontier row;
-   negation and comparisons filter at selectivity 1/2; a binding
-   equality transfers distincts without shrinking the frontier.
-   Returns (probe sum, output estimate, per-head-column contribution). *)
-let estimate_rule lookup universe (r : Rule.t) =
-  let var_d : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bound v = Hashtbl.mem var_d v in
-  let term_bound t = List.for_all bound (Term.vars t) in
-  let bind_term d (t : Term.t) =
-    List.iter
-      (fun v ->
-        let d' =
-          match Hashtbl.find_opt var_d v with
-          | Some e -> Float.min e d
-          | None -> d
-        in
-        Hashtbl.replace var_d v (clamp1 d'))
-      (Term.vars t)
-  in
-  let frontier = ref 1. in
-  let probes = ref 0. in
-  List.iter
-    (fun lit ->
-      let a = Rule.atom_of_literal lit in
-      probes := Float.min huge (!probes +. !frontier);
-      if Atom.is_builtin a then begin
-        match (a.Atom.pred, a.Atom.args) with
-        | "=", [ x; y ] when term_bound x && not (term_bound y) ->
-          bind_term (term_distinct var_d universe x) y
-        | "=", [ x; y ] when term_bound y && not (term_bound x) ->
-          bind_term (term_distinct var_d universe y) x
-        | _ -> frontier := !frontier *. 0.5
-      end
-      else begin
-        let s = lookup (Atom.symbol a) in
-        match lit with
-        | Rule.Neg _ -> frontier := !frontier *. 0.5
-        | Rule.Pos _ ->
-          let sel = ref 1. in
-          List.iteri
-            (fun i arg ->
-              if i < Array.length s.distinct && term_bound arg then
-                sel :=
-                  !sel /. clamp1 (Float.min s.distinct.(i) (clamp1 s.card)))
-            a.Atom.args;
-          frontier := Float.min huge (!frontier *. (s.card *. !sel));
-          List.iteri
-            (fun i arg ->
-              let d =
-                if i < Array.length s.distinct then s.distinct.(i) else universe
-              in
-              bind_term d arg)
-            a.Atom.args
-      end)
-    r.Rule.body;
-  let head_contrib =
-    List.map
-      (fun arg -> term_distinct var_d universe arg)
-      r.Rule.head.Atom.args
-  in
-  let head_cap = List.fold_left (fun a b -> Float.min huge (a *. b)) 1. head_contrib in
-  let out = Float.max 0. (Float.min !frontier head_cap) in
-  (!probes, out, Array.of_list head_contrib)
-
-(* ---- the analysis ---- *)
-
-let analyze ?db ?defaults ?universe:universe_override
+let analyze ?edb ?(seeds = []) ?defaults ?universe:universe_override
     ?(col_caps = fun _ -> None) ?rounds_bound program =
-  let defaults =
-    match defaults with Some d -> d | None -> db = None
-  in
+  let defaults = match defaults with Some d -> d | None -> edb = None in
   let measured = not defaults in
+  let measured_rels, data_symbols, facts, nvalues =
+    overlay (match edb with Some e -> e | None -> no_edb ()) seeds
+  in
   let universe =
     match universe_override with
     | Some u -> clamp1 u
-    | None -> (
-      match db with
-      | Some d when Engine.Database.total d > 0 -> universe_of_db d
-      | _ -> default_universe)
+    | None -> if facts > 0 then universe_of_count nvalues else default_universe
   in
   let rounds_bound =
     clamp1 (match rounds_bound with Some r -> r | None -> universe)
   in
   let derived = Program.derived program in
   let symbols =
-    let acc = ref (Program.predicates program) in
-    (match db with
-    | Some d ->
-      List.iter (fun s -> acc := Symbol.Set.add s !acc) (Engine.Database.symbols d)
-    | None -> ());
-    !acc
+    Array.of_list
+      (Symbol.Set.elements (Symbol.Set.union (Program.predicates program) data_symbols))
   in
+  let n = Array.length symbols in
+  let slots = Symbol.Tbl.create (2 * n) in
+  Array.iteri (fun i sym -> Symbol.Tbl.replace slots sym i) symbols;
+  let slot_of sym = Symbol.Tbl.find slots sym in
   (* caps: per-column distinct bound, defaulting to the universe *)
-  let caps_of sym =
-    match col_caps sym with
-    | Some a -> Array.map clamp1 a
-    | None -> Array.make (max sym.Symbol.arity 0) universe
+  let caps =
+    Array.map
+      (fun (sym : Symbol.t) ->
+        match col_caps sym with
+        | Some a -> Array.map clamp1 a
+        | None -> Array.make (max sym.Symbol.arity 0) universe)
+      symbols
   in
-  let card_cap_of sym =
-    Array.fold_left (fun a c -> Float.min huge (a *. c)) 1. (caps_of sym)
-  in
-  (* initial stats: extensional relations measured from the database
+  (* initial stats: extensional relations measured from the data
      (symbolic defaults when absent), derived predicates start from any
-     seed facts the database holds for them *)
-  let init : (Symbol.t, stat) Hashtbl.t = Hashtbl.create 32 in
-  let stats : (Symbol.t, stat) Hashtbl.t = Hashtbl.create 32 in
-  Symbol.Set.iter
-    (fun sym ->
-      let facts =
-        match db with Some d -> Engine.Database.facts d sym | None -> []
-      in
-      let s =
-        if facts <> [] then stat_of_facts sym.Symbol.arity facts
-        else if (not (Symbol.Set.mem sym derived)) && defaults then
-          {
-            card = default_card;
-            distinct =
-              Array.make (max sym.Symbol.arity 0)
-                (Float.min universe default_card);
-          }
-        else zero_stat sym.Symbol.arity
-      in
-      Hashtbl.replace init sym s;
-      Hashtbl.replace stats sym s)
-    symbols;
-  let lookup sym =
-    match Hashtbl.find_opt stats sym with
-    | Some s -> s
-    | None -> zero_stat sym.Symbol.arity
+     seed facts the data holds for them *)
+  let init =
+    Array.map
+      (fun (sym : Symbol.t) ->
+        match Symbol.Tbl.find_opt measured_rels sym with
+        | Some s -> s
+        | None ->
+          if (not (Symbol.Set.mem sym derived)) && defaults then
+            {
+              card = default_card;
+              distinct =
+                Array.make (max sym.Symbol.arity 0)
+                  (Float.min universe default_card);
+            }
+          else zero_stat sym.Symbol.arity)
+      symbols
   in
-  (* one synchronous recomputation of a predicate from its rules *)
-  let recompute sym =
-    let init_s =
-      match Hashtbl.find_opt init sym with
-      | Some s -> s
-      | None -> zero_stat sym.Symbol.arity
-    in
-    let caps = caps_of sym in
-    let out = ref init_s.card in
-    let cols = Array.copy init_s.distinct in
-    List.iter
-      (fun (_, r) ->
-        let _, rule_out, contrib = estimate_rule lookup universe r in
-        out := Float.min huge (!out +. rule_out);
-        Array.iteri
-          (fun i c ->
-            if i < Array.length contrib then
-              cols.(i) <- Float.min huge (c +. contrib.(i)))
-          cols)
-      (Program.rules_for program sym);
-    let cols = Array.mapi (fun i c -> Float.min caps.(i) (clamp1 c)) cols in
-    let card =
-      Float.min !out
-        (Array.fold_left (fun a c -> Float.min huge (a *. c)) 1. cols)
-    in
-    let cols = Array.map (fun c -> Float.min c (clamp1 card)) cols in
-    { card; distinct = cols }
+  let card = Array.map (fun s -> s.card) init in
+  let dist = Array.map (fun s -> Array.copy s.distinct) init in
+  let rules = Array.of_list (List.map (compile_rule slot_of) (Program.rules program)) in
+  let rules_of = Array.make n [] in
+  List.iteri
+    (fun i (r : Rule.t) ->
+      let h = slot_of (Atom.symbol r.Rule.head) in
+      rules_of.(h) <- rules.(i) :: rules_of.(h))
+    (Program.rules program);
+  let rules_of = Array.map (fun rs -> Array.of_list (List.rev rs)) rules_of in
+  (* one synchronous recomputation of predicate [s] from its rules:
+     returns the card, the column estimates go to [out_cols] *)
+  let recompute s out_cols =
+    let out = ref init.(s).card in
+    Array.blit init.(s).distinct 0 out_cols 0 (Array.length out_cols);
+    let rs = rules_of.(s) in
+    for k = 0 to Array.length rs - 1 do
+      let r = rs.(k) in
+      eval_rule card dist universe r;
+      out := Float.min huge (!out +. r.out);
+      for i = 0 to min (Array.length out_cols) (Array.length r.contrib) - 1 do
+        out_cols.(i) <- Float.min huge (out_cols.(i) +. r.contrib.(i))
+      done
+    done;
+    let caps = caps.(s) in
+    Array.iteri (fun i c -> out_cols.(i) <- Float.min caps.(i) (clamp1 c)) out_cols;
+    let c = Float.min !out (product out_cols) in
+    Array.iteri (fun i d -> out_cols.(i) <- Float.min d (clamp1 c)) out_cols;
+    c
   in
   let widened = ref [] in
   let rounds = ref 1. in
   let process_scc scc =
-    let members = List.filter (fun s -> Symbol.Set.mem s derived) scc in
-    if members <> [] then begin
+    let members =
+      Array.of_list
+        (List.filter_map
+           (fun s -> if Symbol.Set.mem s derived then Some (slot_of s) else None)
+           scc)
+    in
+    let m = Array.length members in
+    if m > 0 then begin
       let recursive =
-        match members with
-        | [ s ] ->
-          List.exists
-            (fun (_, r) ->
-              List.exists
-                (fun a -> Symbol.equal (Atom.symbol a) s)
-                (Rule.body_atoms r))
-            (Program.rules_for program s)
-        | _ -> true
+        m > 1
+        ||
+        let s = symbols.(members.(0)) in
+        List.exists
+          (fun (_, r) ->
+            List.exists (fun a -> Symbol.equal (Atom.symbol a) s) (Rule.body_atoms r))
+          (Program.rules_for program s)
       in
-      if not recursive then
-        List.iter (fun s -> Hashtbl.replace stats s (recompute s)) members
+      if not recursive then begin
+        let s = members.(0) in
+        let cols = Array.make (Array.length dist.(s)) 0. in
+        card.(s) <- recompute s cols;
+        dist.(s) <- cols
+      end
       else begin
         (* One recompute round advances each member from the others'
            previous stats, so a derivation hop through an s-member SCC
@@ -270,7 +425,7 @@ let analyze ?db ?defaults ?universe:universe_override
           int_of_float
             (Float.min 4096.
                (Float.max (float_of_int max_rounds)
-                  ((rounds_bound *. float_of_int (List.length members)) +. 4.)))
+                  ((rounds_bound *. float_of_int m) +. 4.)))
         in
         (* A member is settled when its round delta is gone, or small
            relative to its size AND shrinking geometrically (at most
@@ -286,64 +441,70 @@ let analyze ?db ?defaults ?universe:universe_override
           delta <= 1e-9
           || (delta <= 0.01 *. clamp1 prev_card && delta <= 0.5 *. prev_delta)
         in
+        let prev = Array.make m 0. in
+        let deltas = Array.make m Float.infinity in
+        let next_card = Array.make m 0. in
+        let next_cols = Array.map (fun s -> Array.make (Array.length dist.(s)) 0.) members in
+        (* the members' stats swap with [next_cols] every round *)
         let step () =
-          let next = List.map (fun s -> (s, recompute s)) members in
-          List.iter (fun (s, st) -> Hashtbl.replace stats s st) next
+          Array.iteri (fun j s -> next_card.(j) <- recompute s next_cols.(j)) members;
+          Array.iteri
+            (fun j s ->
+              card.(s) <- next_card.(j);
+              let old = dist.(s) in
+              dist.(s) <- next_cols.(j);
+              next_cols.(j) <- old)
+            members
         in
-        let rec go k prev_deltas =
-          let prev = List.map (fun s -> (lookup s).card) members in
+        let rec go k =
+          Array.iteri (fun j s -> prev.(j) <- card.(s)) members;
           step ();
-          let deltas =
-            List.map2
-              (fun s p -> Float.abs ((lookup s).card -. p))
-              members prev
-          in
-          let stable =
-            List.for_all2
-              (fun (prev_card, delta) prev_delta ->
-                settled ~prev_card ~prev_delta ~delta)
-              (List.combine prev deltas) prev_deltas
-          in
-          if stable then rounds := Float.max !rounds (float_of_int k)
+          let stable = ref true in
+          Array.iteri
+            (fun j s ->
+              let delta = Float.abs (card.(s) -. prev.(j)) in
+              if not (settled ~prev_card:prev.(j) ~prev_delta:deltas.(j) ~delta) then
+                stable := false;
+              deltas.(j) <- delta)
+            members;
+          if !stable then rounds := Float.max !rounds (float_of_int k)
           else if k >= budget then begin
             (* extrapolating widening: project the last round's growth
                linearly out to the round horizon, under the column caps *)
-            List.iter2
-              (fun s p ->
-                let now = lookup s in
-                let delta = Float.max 0. (now.card -. p) in
+            Array.iteri
+              (fun j s ->
+                let delta = Float.max 0. (card.(s) -. prev.(j)) in
                 let projected =
-                  Float.min (card_cap_of s)
-                    (now.card +. (delta *. Float.max 0. (rounds_bound -. float_of_int k)))
+                  Float.min (product caps.(s))
+                    (card.(s)
+                    +. (delta *. Float.max 0. (rounds_bound -. float_of_int k)))
                 in
-                let caps = caps_of s in
-                let distinct =
-                  Array.mapi
-                    (fun i _ -> Float.min caps.(i) (clamp1 projected))
-                    now.distinct
-                in
-                Hashtbl.replace stats s { card = projected; distinct })
-              members prev;
-            widened := members @ !widened;
+                card.(s) <- projected;
+                dist.(s) <-
+                  Array.mapi (fun i _ -> Float.min caps.(s).(i) (clamp1 projected)) dist.(s))
+              members;
+            widened := List.map (fun s -> symbols.(s)) (Array.to_list members) @ !widened;
             rounds := Float.max !rounds rounds_bound
           end
-          else go (k + 1) deltas
+          else go (k + 1)
         in
-        go 1 (List.map (fun _ -> Float.infinity) members)
+        go 1
       end
     end
   in
   List.iter process_scc (Program.sccs program);
   (* total probe estimate under the final stats *)
   let probes =
-    List.fold_left
+    Array.fold_left
       (fun acc r ->
-        let p, _, _ = estimate_rule lookup universe r in
-        Float.min huge (acc +. p))
-      0. (Program.rules program)
+        eval_rule card dist universe r;
+        Float.min huge (acc +. r.probes))
+      0. rules
   in
   {
-    stats;
+    slots;
+    cards = card;
+    dists = dist;
     universe;
     measured;
     widened = List.sort_uniq Symbol.compare !widened;
@@ -393,120 +554,141 @@ type shape = {
 
 let path_saturation = 1e6
 
-let graph_shape ~edges ~roots =
-  let adj : (Term.t, Term.t list) Hashtbl.t = Hashtbl.create 64 in
-  let nodes : (Term.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let indeg : (Term.t, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (u, v) ->
-      Hashtbl.replace nodes u ();
-      Hashtbl.replace nodes v ();
-      Hashtbl.replace adj u
-        (v :: Option.value ~default:[] (Hashtbl.find_opt adj u));
-      Hashtbl.replace indeg v (1 + Option.value ~default:0 (Hashtbl.find_opt indeg v)))
-    edges;
-  let succs u = Option.value ~default:[] (Hashtbl.find_opt adj u) in
-  let all_nodes = Hashtbl.fold (fun n () acc -> n :: acc) nodes [] in
-  let roots = List.filter (Hashtbl.mem nodes) roots in
-  let roots =
-    if roots <> [] then roots
-    else
-      match List.filter (fun n -> not (Hashtbl.mem indeg n)) all_nodes with
-      | [] -> all_nodes
-      | sources -> sources
+(* Nodes are renumbered densely and the (multi)graph stored as
+   successor arrays; duplicate edges count as distinct paths. *)
+type graph = {
+  index : int Itbl.t;  (** node id -> dense index *)
+  first : int array;  (** successors of [u]: [succ.(first.(u)) .. succ.(first.(u+1) - 1)] *)
+  succ : int array;
+  indeg : int array;
+}
+
+let graph edges =
+  let index = Itbl.create 64 in
+  let node v =
+    match Itbl.find_opt index v with
+    | Some i -> i
+    | None ->
+      let i = Itbl.length index in
+      Itbl.replace index v i;
+      i
   in
-  if all_nodes = [] then
+  let edges = Array.of_list (List.map (fun (u, v) -> (node u, node v)) edges) in
+  let n = Itbl.length index in
+  let indeg = Array.make n 0 in
+  let first = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (u, v) ->
+      first.(u + 1) <- first.(u + 1) + 1;
+      indeg.(v) <- indeg.(v) + 1)
+    edges;
+  for u = 1 to n do
+    first.(u) <- first.(u) + first.(u - 1)
+  done;
+  let succ = Array.make (Array.length edges) 0 in
+  let fill = Array.sub first 0 n in
+  Array.iter
+    (fun (u, v) ->
+      succ.(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1)
+    edges;
+  { index; first; succ; indeg }
+
+let graph_shape { index; first; succ; indeg } ~roots =
+  let n = Array.length indeg in
+  if n = 0 then
     { acyclic = true; longest = 0.; total_paths = 1.; saturated = false;
       reachable = 0. }
   else begin
-    (* iterative DFS from the roots: cycle detection + reachable set *)
-    let color : (Term.t, int) Hashtbl.t = Hashtbl.create 64 in
+    let roots = List.filter_map (Itbl.find_opt index) roots in
+    let roots =
+      if roots <> [] then roots
+      else
+        let all = List.init n Fun.id in
+        match List.filter (fun u -> indeg.(u) = 0) all with
+        | [] -> all
+        | sources -> sources
+    in
+    (* iterative DFS from the roots: cycle detection + reachable set
+       (color 0 unvisited, 1 on the stack, 2 done) *)
+    let color = Array.make n 0 in
+    let reached = ref 0 in
     let cyclic = ref false in
+    let stack = Array.make n 0 and next = Array.make n 0 in
     List.iter
       (fun root ->
-        if not (Hashtbl.mem color root) then begin
-          let stack = Stack.create () in
-          Hashtbl.replace color root 1;
-          Stack.push (root, ref (succs root)) stack;
-          while not (Stack.is_empty stack) do
-            let u, rest = Stack.top stack in
-            match !rest with
-            | [] ->
-              Hashtbl.replace color u 2;
-              ignore (Stack.pop stack)
-            | v :: tl -> (
-              rest := tl;
-              match Hashtbl.find_opt color v with
-              | Some 1 -> cyclic := true
-              | Some _ -> ()
-              | None ->
-                Hashtbl.replace color v 1;
-                Stack.push (v, ref (succs v)) stack)
+        if color.(root) = 0 then begin
+          let sp = ref 0 in
+          let push u =
+            color.(u) <- 1;
+            incr reached;
+            stack.(!sp) <- u;
+            next.(!sp) <- first.(u);
+            incr sp
+          in
+          push root;
+          while !sp > 0 do
+            let top = !sp - 1 in
+            let u = stack.(top) in
+            if next.(top) = first.(u + 1) then begin
+              color.(u) <- 2;
+              decr sp
+            end
+            else begin
+              let v = succ.(next.(top)) in
+              next.(top) <- next.(top) + 1;
+              match color.(v) with
+              | 1 -> cyclic := true
+              | 0 -> push v
+              | _ -> ()
+            end
           done
         end)
       roots;
     if !cyclic then
       { acyclic = false; longest = huge; total_paths = huge; saturated = true;
-        reachable = float_of_int (Hashtbl.length color) }
+        reachable = float_of_int !reached }
     else begin
-      let reachable = Hashtbl.mem color in
       (* Kahn over the reachable subgraph: longest path + path counts *)
-      let indeg_r : (Term.t, int) Hashtbl.t = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun u _ ->
-          List.iter
-            (fun v ->
-              Hashtbl.replace indeg_r v
-                (1 + Option.value ~default:0 (Hashtbl.find_opt indeg_r v)))
-            (succs u))
-        color;
-      let depth : (Term.t, float) Hashtbl.t = Hashtbl.create 64 in
-      let pc : (Term.t, float) Hashtbl.t = Hashtbl.create 64 in
-      List.iter (fun r -> Hashtbl.replace pc r 1.) roots;
+      let indeg_r = Array.make n 0 in
+      for u = 0 to n - 1 do
+        if color.(u) <> 0 then
+          for e = first.(u) to first.(u + 1) - 1 do
+            indeg_r.(succ.(e)) <- indeg_r.(succ.(e)) + 1
+          done
+      done;
+      let depth = Array.make n 0. in
+      let pc = Array.make n 0. in
+      List.iter (fun r -> pc.(r) <- 1.) roots;
       let queue = Queue.create () in
-      Hashtbl.iter
-        (fun u _ ->
-          if Option.value ~default:0 (Hashtbl.find_opt indeg_r u) = 0 then
-            Queue.add u queue)
-        color;
+      for u = 0 to n - 1 do
+        if color.(u) <> 0 && indeg_r.(u) = 0 then Queue.add u queue
+      done;
       let longest = ref 0. in
       let saturated = ref false in
       while not (Queue.is_empty queue) do
         let u = Queue.pop queue in
-        let du = Option.value ~default:0. (Hashtbl.find_opt depth u) in
-        let pu = Option.value ~default:0. (Hashtbl.find_opt pc u) in
-        longest := Float.max !longest du;
-        List.iter
-          (fun v ->
-            if reachable v then begin
-              Hashtbl.replace depth v
-                (Float.max (du +. 1.)
-                   (Option.value ~default:0. (Hashtbl.find_opt depth v)));
-              let p =
-                pu +. Option.value ~default:0. (Hashtbl.find_opt pc v)
-              in
-              let p =
-                if p >= path_saturation then (
-                  saturated := true;
-                  path_saturation)
-                else p
-              in
-              Hashtbl.replace pc v p;
-              let d = Option.value ~default:0 (Hashtbl.find_opt indeg_r v) - 1 in
-              Hashtbl.replace indeg_r v d;
-              if d = 0 then Queue.add v queue
-            end)
-          (succs u)
+        longest := Float.max !longest depth.(u);
+        for e = first.(u) to first.(u + 1) - 1 do
+          let v = succ.(e) in
+          depth.(v) <- Float.max (depth.(u) +. 1.) depth.(v);
+          let p = pc.(u) +. pc.(v) in
+          pc.(v) <-
+            (if p >= path_saturation then (
+               saturated := true;
+               path_saturation)
+             else p);
+          indeg_r.(v) <- indeg_r.(v) - 1;
+          if indeg_r.(v) = 0 then Queue.add v queue
+        done
       done;
-      let total =
-        Hashtbl.fold (fun _ p acc -> Float.min 1e9 (acc +. p)) pc 0.
-      in
+      let total = Array.fold_left (fun acc p -> Float.min 1e9 (acc +. p)) 0. pc in
       {
         acyclic = true;
         longest = !longest;
         total_paths = Float.max 1. total;
         saturated = !saturated || total >= path_saturation;
-        reachable = float_of_int (Hashtbl.length color);
+        reachable = float_of_int !reached;
       }
     end
   end

@@ -90,6 +90,66 @@ let is_guard naming pred =
 let is_magic naming pred =
   match C.Naming.role naming pred with Some (C.Naming.Magic _) -> true | _ -> false
 
+(* ---- the per-choice context ----
+
+   Everything one [choose] measures or derives once and shares between
+   candidates: the extensional statistics, the descent graphs (keyed by
+   the walked relation orientations), the cardinality analyses (keyed
+   by rewritten program, seeds and the index-cap regime), and the gms
+   rewrite the near-tie resolution reads. *)
+
+(* everything a rewritten candidate's analysis reads: the column caps
+   and est_magic also depend on which predicates the naming marks as
+   guards and as magic *)
+type card_key = {
+  rules : Rule.t list;
+  seeds : Atom.t list;
+  counting : bool;
+  guards : (bool * bool) list;  (** (guard, magic) role of each predicate *)
+}
+
+type ctx = {
+  db : Engine.Database.t option;
+  edb : Pass_card.edb option;
+  measured : bool;
+  universe : float;
+  rounds_bound : float;
+  graphs : ((Symbol.t * bool) list, Pass_card.graph) Hashtbl.t;
+  mutable cards : (card_key * (float * Pass_card.t)) list;
+  mutable gms : C.Rewritten.t option;
+}
+
+(* the interned id of a ground constant, if it occurs in some relation;
+   terms with unevaluated arithmetic never equal a stored value *)
+let node_id t =
+  let rec canonical = function
+    | Term.Int _ | Term.Sym _ -> true
+    | Term.App (_, ts) -> List.for_all canonical ts
+    | Term.Var _ | Term.Add _ | Term.Mul _ | Term.Div _ -> false
+  in
+  if canonical t then Option.map Engine.Value.to_int (Engine.Value.find t) else None
+
+(* The graph of the binary relations' facts as value-id pairs, each
+   relation walked forward or backward, built once per orientation set
+   (a sorted list of (relation, forward?) pairs). *)
+let descent_graph graphs db orientations =
+  match Hashtbl.find_opt graphs orientations with
+  | Some g -> g
+  | None ->
+    let edges_of acc (sym, forward) =
+      match Engine.Database.find db sym with
+      | None -> acc
+      | Some r ->
+        Engine.Relation.fold
+          (fun t acc ->
+            let a = Engine.Value.to_int t.(0) and b = Engine.Value.to_int t.(1) in
+            (if forward then (a, b) else (b, a)) :: acc)
+          r acc
+    in
+    let g = Pass_card.graph (List.fold_left edges_of [] orientations) in
+    Hashtbl.replace graphs orientations g;
+    g
+
 (* ---- descent shape: how the guards walk the extensional data ----
 
    For every rule defining a guard predicate, scan the body left to
@@ -99,7 +159,7 @@ let is_magic naming pred =
    guards walk its facts in that orientation.  Anything the model
    cannot express (compound arguments, wider extensional joins with
    several unbound variables) makes the shape opaque. *)
-let descent_shape (rw : C.Rewritten.t) db =
+let descent_shape ctx (rw : C.Rewritten.t) db =
   let derived = Program.derived rw.C.Rewritten.program in
   let orientations : (Symbol.t * bool, unit) Hashtbl.t = Hashtbl.create 8 in
   let opaque = ref false in
@@ -140,24 +200,18 @@ let descent_shape (rw : C.Rewritten.t) db =
           (Rule.body_atoms r)
       end)
     (Program.rules rw.C.Rewritten.program);
-  let edges =
-    Hashtbl.fold
-      (fun (sym, forward) () acc ->
-        List.fold_left
-          (fun acc (f : Atom.t) ->
-            match f.Atom.args with
-            | [ a; b ] -> (if forward then (a, b) else (b, a)) :: acc
-            | _ -> acc)
-          acc
-          (Engine.Database.facts db sym))
-      orientations []
+  let orientations =
+    List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) orientations [])
   in
   let roots =
     List.concat_map
-      (fun (s : Atom.t) -> List.filter Term.is_ground s.Atom.args)
+      (fun (s : Atom.t) ->
+        List.filter_map
+          (fun t -> if Term.is_ground t then node_id t else None)
+          s.Atom.args)
       rw.C.Rewritten.seeds
   in
-  (Pass_card.graph_shape ~edges ~roots, !opaque)
+  (Pass_card.graph_shape (descent_graph ctx.graphs db orientations) ~roots, !opaque)
 
 (* depth at which the numeric counting indices (Section 6: K*m+i, H*t+j
    per level) overflow a native int, with margin *)
@@ -243,26 +297,21 @@ let viable name method_ ~est_magic card =
 (* round horizon shared by every candidate: the longest path of the
    union graph of the binary extensional relations (plus slack), or the
    universe when the data is cyclic or unmeasured *)
-let rounds_horizon ?db ~universe program =
+let rounds_horizon ?db ~graphs ~universe program =
   match db with
   | None -> universe
   | Some db ->
-    let edges =
-      Symbol.Set.fold
-        (fun (sym : Symbol.t) acc ->
-          if sym.Symbol.arity = 2 then
-            List.fold_left
-              (fun acc (f : Atom.t) ->
-                match f.Atom.args with [ a; b ] -> (a, b) :: acc | _ -> acc)
-              acc
-              (Engine.Database.facts db sym)
-          else acc)
-        (Program.base program) []
+    let orientations =
+      Symbol.Set.elements (Program.base program)
+      |> List.filter (fun (sym : Symbol.t) -> sym.Symbol.arity = 2)
+      |> List.map (fun sym -> (sym, true))
+      |> List.sort compare
     in
-    if edges = [] then universe
-    else
-      let s = Pass_card.graph_shape ~edges ~roots:[] in
-      if s.Pass_card.acyclic then s.Pass_card.longest +. 2. else universe
+    let s = Pass_card.graph_shape (descent_graph graphs db orientations) ~roots:[] in
+    (* nothing reachable: no binary facts at all *)
+    if s.Pass_card.reachable = 0. then universe
+    else if s.Pass_card.acyclic then s.Pass_card.longest +. 2.
+    else universe
 
 (* per-column distinct caps for a counting candidate: index columns
    (those receiving arithmetic index terms in heads or seeds) range
@@ -298,119 +347,131 @@ let counting_caps (rw : C.Rewritten.t) ~universe ~idx_cap =
       Some (Array.map (fun idx -> if idx then idx_cap else universe) arr)
     | _ -> None
 
-let score_candidate ~db ~measured ~universe ~rounds_bound program query
-    (name, method_) =
+(* Cardinality analysis of a rewritten candidate: its program with the
+   ground magic seeds counted as facts, under the counting index caps
+   and the descent-cone caps.  Returns [(est_magic, card)], shared by
+   every candidate with the same rewritten program and seeds. *)
+let analyze_rewritten ctx (rw : C.Rewritten.t) ~counting shape =
+  let naming = rw.C.Rewritten.naming in
+  let program = rw.C.Rewritten.program in
+  let seeds = List.filter Atom.is_ground rw.C.Rewritten.seeds in
+  let key =
+    {
+      rules = Program.rules program;
+      seeds;
+      counting;
+      guards =
+        List.map
+          (fun (sym : Symbol.t) ->
+            (is_guard naming sym.Symbol.name, is_magic naming sym.Symbol.name))
+          (Symbol.Set.elements (Program.predicates program));
+    }
+  in
+  match List.assoc_opt key ctx.cards with
+  | Some r -> r
+  | None ->
+    let universe = ctx.universe in
+    let index_caps =
+      match shape with
+      | Some (s, _) when s.Pass_card.acyclic && not s.Pass_card.saturated ->
+        counting_caps rw ~universe ~idx_cap:(Float.max 1. s.Pass_card.total_paths)
+      | _ when counting -> counting_caps rw ~universe ~idx_cap:universe
+      | _ -> fun _ -> None
+    in
+    (* Cone cap: every value a magic predicate can hold is reached from
+       the seed constants by descent steps through the extensional data,
+       so the measured reachable set bounds the magic columns far
+       tighter than the constant universe.  Without it, a seed in the
+       middle of a long chain widens to the whole universe and the
+       rewriting looks no better than direct evaluation.  The descent
+       graph only tracks binary extensional steps, so the cap is sound
+       only when every extensional literal of a guard rule is binary or
+       ground. *)
+    let cone_caps =
+      let derived = Program.derived program in
+      let binary_descent =
+        List.for_all
+          (fun (r : Rule.t) ->
+            (not (is_guard naming r.Rule.head.Atom.pred))
+            || List.for_all
+                 (fun (a : Atom.t) ->
+                   Atom.is_builtin a
+                   || Symbol.Set.mem (Atom.symbol a) derived
+                   (* a guard predicate with no rules (the magic seed of
+                      a non-recursive query predicate) holds only root
+                      constants: it is not a descent step through the
+                      data and must not void the cap *)
+                   || is_guard naming a.Atom.pred
+                   || Atom.is_ground a
+                   || List.length a.Atom.args = 2)
+                 (Rule.body_atoms r))
+          (Program.rules program)
+      in
+      match shape with
+      | Some (s, false) when binary_descent && s.Pass_card.reachable >= 1. ->
+        let cone = Float.min universe s.Pass_card.reachable in
+        fun (sym : Symbol.t) ->
+          if is_magic naming sym.Symbol.name then
+            Some (Array.make (max sym.Symbol.arity 0) cone)
+          else None
+      | _ -> fun _ -> None
+    in
+    let col_caps sym =
+      match (index_caps sym, cone_caps sym) with
+      | None, None -> None
+      | (Some _ as c), None | None, (Some _ as c) -> c
+      | Some a, Some b ->
+        Some
+          (Array.mapi
+             (fun i c -> if i < Array.length b then Float.min c b.(i) else c)
+             a)
+    in
+    let card =
+      Pass_card.analyze ?edb:ctx.edb ~seeds ~defaults:(not ctx.measured)
+        ~universe ~col_caps ~rounds_bound:ctx.rounds_bound program
+    in
+    let est_magic =
+      Symbol.Set.fold
+        (fun (sym : Symbol.t) acc ->
+          if is_magic naming sym.Symbol.name then
+            acc +. (Pass_card.stat card sym).Pass_card.card
+          else acc)
+        (Program.predicates program)
+        0.
+    in
+    ctx.cards <- (key, (est_magic, card)) :: ctx.cards;
+    (est_magic, card)
+
+let score_candidate ctx program query (name, method_) =
   match method_ with
   | C.Rewrite.Original `Seminaive -> (
     match seminaive_exclusion program with
     | Some why -> excluded name method_ why
     | None ->
       let card =
-        Pass_card.analyze ?db ~defaults:(not measured) ~universe
-          ~rounds_bound program
+        Pass_card.analyze ?edb:ctx.edb ~defaults:(not ctx.measured)
+          ~universe:ctx.universe ~rounds_bound:ctx.rounds_bound program
       in
       viable name method_ ~est_magic:0. card)
   | C.Rewrite.Rewritten_bottom_up (rewriting, options) -> (
+    (* Invalid_argument is how Adorn, Sip and Counting refuse a program;
+       any other exception is a defect and propagates *)
     match C.Rewrite.rewrite ~options rewriting program query with
     | exception Invalid_argument msg -> inapplicable name method_ msg
-    | exception exn -> inapplicable name method_ (Printexc.to_string exn)
     | rw -> (
+      if name = "gms" then ctx.gms <- Some rw;
       let report = C.Safety.analyze rw.C.Rewritten.adorned in
       if not report.C.Safety.magic_safe then
         excluded name method_
           "the binding graph has a non-positive cycle: the rewriting may not \
            terminate (Section 10)"
       else
-        let shape = Option.map (fun db -> descent_shape rw db) db in
-        match
-          if is_counting method_ then counting_exclusion report rw shape
-          else None
-        with
+        let shape = Option.map (descent_shape ctx rw) ctx.db in
+        let counting = is_counting method_ in
+        match if counting then counting_exclusion report rw shape else None with
         | Some why -> excluded name method_ why
         | None ->
-          let db' =
-            match db with
-            | Some db -> Engine.Database.copy db
-            | None -> Engine.Database.create ()
-          in
-          List.iter
-            (fun (s : Atom.t) ->
-              if Atom.is_ground s then ignore (Engine.Database.add_fact db' s))
-            rw.C.Rewritten.seeds;
-          let index_caps =
-            match shape with
-            | Some (s, _) when s.Pass_card.acyclic && not s.Pass_card.saturated
-              ->
-              counting_caps rw ~universe
-                ~idx_cap:(Float.max 1. s.Pass_card.total_paths)
-            | _ when is_counting method_ ->
-              counting_caps rw ~universe ~idx_cap:universe
-            | _ -> fun _ -> None
-          in
-          (* Cone cap: every value a magic predicate can hold is reached
-             from the seed constants by descent steps through the
-             extensional data, so the measured reachable set bounds the
-             magic columns far tighter than the constant universe.
-             Without it, a seed in the middle of a long chain widens to
-             the whole universe and the rewriting looks no better than
-             direct evaluation.  The descent graph only tracks binary
-             extensional steps, so the cap is sound only when every
-             extensional literal of a guard rule is binary or ground. *)
-          let cone_caps =
-            let derived = Program.derived rw.C.Rewritten.program in
-            let binary_descent =
-              List.for_all
-                (fun (r : Rule.t) ->
-                  (not (is_guard rw.C.Rewritten.naming r.Rule.head.Atom.pred))
-                  || List.for_all
-                       (fun (a : Atom.t) ->
-                         Atom.is_builtin a
-                         || Symbol.Set.mem (Atom.symbol a) derived
-                         (* a guard predicate with no rules (the magic
-                            seed of a non-recursive query predicate)
-                            holds only root constants: it is not a
-                            descent step through the data and must not
-                            void the cap *)
-                         || is_guard rw.C.Rewritten.naming a.Atom.pred
-                         || Atom.is_ground a
-                         || List.length a.Atom.args = 2)
-                       (Rule.body_atoms r))
-                (Program.rules rw.C.Rewritten.program)
-            in
-            match shape with
-            | Some (s, false) when binary_descent && s.Pass_card.reachable >= 1.
-              ->
-              let cone = Float.min universe s.Pass_card.reachable in
-              fun (sym : Symbol.t) ->
-                if is_magic rw.C.Rewritten.naming sym.Symbol.name then
-                  Some (Array.make (max sym.Symbol.arity 0) cone)
-                else None
-            | _ -> fun _ -> None
-          in
-          let col_caps sym =
-            match (index_caps sym, cone_caps sym) with
-            | None, None -> None
-            | (Some _ as c), None | None, (Some _ as c) -> c
-            | Some a, Some b ->
-              Some
-                (Array.mapi
-                   (fun i c ->
-                     if i < Array.length b then Float.min c b.(i) else c)
-                   a)
-          in
-          let card =
-            Pass_card.analyze ~db:db' ~defaults:(not measured) ~universe
-              ~col_caps ~rounds_bound rw.C.Rewritten.program
-          in
-          let est_magic =
-            Symbol.Set.fold
-              (fun (sym : Symbol.t) acc ->
-                if is_magic rw.C.Rewritten.naming sym.Symbol.name then
-                  acc +. (Pass_card.stat card sym).Pass_card.card
-                else acc)
-              (Program.predicates rw.C.Rewritten.program)
-              0.
-          in
+          let est_magic, card = analyze_rewritten ctx rw ~counting shape in
           viable name method_ ~est_magic card))
   | _ -> inapplicable name method_ "not a bottom-up candidate"
 
@@ -468,16 +529,16 @@ let choose ?db ?only program query =
     | None -> candidates
     | Some names -> List.filter (fun (n, _) -> List.mem n names) candidates
   in
-  let measured =
-    match db with Some d -> Engine.Database.total d > 0 | None -> false
-  in
-  let edb_facts = match db with Some d -> Engine.Database.total d | None -> 0 in
+  let edb = Option.map Pass_card.measure db in
+  let edb_facts = match edb with Some e -> Pass_card.edb_facts e | None -> 0 in
+  let measured = edb_facts > 0 in
   let universe =
-    match db with
-    | Some d when measured -> Pass_card.universe_of_db d
+    match edb with
+    | Some e when measured -> Pass_card.edb_universe e
     | _ -> 100.
   in
-  let rounds_bound = rounds_horizon ?db ~universe program in
+  let graphs = Hashtbl.create 8 in
+  let rounds_bound = rounds_horizon ?db ~graphs ~universe program in
   if not (Program.is_derived program (Atom.symbol query)) then begin
     (* extensional query: a single scan answers it, nothing to choose *)
     let e =
@@ -507,11 +568,19 @@ let choose ?db ?only program query =
     }
   end
   else begin
-    let estimates =
-      List.map
-        (score_candidate ~db ~measured ~universe ~rounds_bound program query)
-        candidates
+    let ctx =
+      {
+        db;
+        edb;
+        measured;
+        universe;
+        rounds_bound;
+        graphs;
+        cards = [];
+        gms = None;
+      }
     in
+    let estimates = List.map (score_candidate ctx program query) candidates in
     let ranked = rank (floor_at_counterpart estimates) in
     let winner =
       match List.find_opt (fun e -> e.verdict = Viable) ranked with
@@ -528,12 +597,18 @@ let choose ?db ?only program query =
     let cone_fraction =
       match db with
       | Some d when measured -> (
-        try
-          let rw = C.Rewrite.rewrite C.Rewrite.GMS program query in
-          let shape, opaque = descent_shape rw d in
+        (* the gms candidate's rewrite, unless it was not a candidate *)
+        let gms () =
+          match ctx.gms with
+          | Some rw -> rw
+          | None -> C.Rewrite.rewrite C.Rewrite.GMS program query
+        in
+        match gms () with
+        | exception Invalid_argument _ -> None
+        | rw ->
+          let shape, opaque = descent_shape ctx rw d in
           if opaque then None
-          else Some (shape.Pass_card.reachable /. Float.max 1. universe)
-        with _ -> None)
+          else Some (shape.Pass_card.reachable /. Float.max 1. universe))
       | _ -> None
     in
     let winner =
@@ -592,7 +667,7 @@ let g x =
 
 let pp_g ppf x = Fmt.string ppf (g x)
 
-let pp_report ppf t =
+let pp_report ppf (t : t) =
   Fmt.pf ppf "@[<v>";
   Fmt.pf ppf
     "cost analysis: %s statistics, %d edb facts, universe %a, round horizon \

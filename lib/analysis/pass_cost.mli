@@ -52,10 +52,13 @@ val choose : ?db:Engine.Database.t -> ?only:string list -> Program.t -> Atom.t -
 (** [choose ?db program query]: [program] must be fact-free (use
     {!Datalog.Parser.split_facts}); [db] holds the extensional facts.
     [only] restricts the candidate set to the named strategies (the
-    session path considers just what it can materialize).  Never raises
-    on analyzable input: candidates whose rewriting fails are marked
-    [Inapplicable].  When the query's predicate is not derived the
-    trivial semi-naive plan wins outright. *)
+    session path considers just what it can materialize).  Candidates
+    the rewriter refuses (its [Invalid_argument]) are marked
+    [Inapplicable]; any other exception is a defect and propagates.
+    The database is measured once per call, and candidates whose
+    rewritten programs and seeds coincide share one cardinality
+    analysis.  When the query's predicate is not derived the trivial
+    semi-naive plan wins outright. *)
 
 val pp_report : t Fmt.t
 (** Multi-line human-readable cost report (the [--cost] output). *)

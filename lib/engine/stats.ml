@@ -114,26 +114,6 @@ let gc_delta ~before ~after =
     major_collections = after.major_collections - before.major_collections;
   }
 
-let gc_zero =
-  {
-    minor_words = 0.;
-    major_words = 0.;
-    promoted_words = 0.;
-    minor_collections = 0;
-    major_collections = 0;
-  }
-
-(* [Gc.quick_stat] reports the calling domain's counters: summing each
-   domain's deltas gives a multi-domain region's total allocation. *)
-let gc_add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-  }
-
 let pp_gc ppf g =
   Fmt.pf ppf "minor_words=%.0f major_words=%.0f promoted_words=%.0f minor_gcs=%d major_gcs=%d"
     g.minor_words g.major_words g.promoted_words g.minor_collections

@@ -66,12 +66,4 @@ val gc_now : unit -> gc_counters
 val gc_delta : before:gc_counters -> after:gc_counters -> gc_counters
 (** Counter increments between two {!gc_now} snapshots. *)
 
-val gc_zero : gc_counters
-(** All-zero counters: the identity of {!gc_add}. *)
-
-val gc_add : gc_counters -> gc_counters -> gc_counters
-(** Pointwise sum.  [Gc.quick_stat] reports the calling domain's
-    counters only, so a multi-domain region's allocation is the sum of
-    each domain's {!gc_delta}. *)
-
 val pp_gc : gc_counters Fmt.t

@@ -37,7 +37,7 @@ let verdict_of t name =
 let test_card_measured () =
   let p, q, edb = load (ancestor_src (chain 10) "a(n0, Y)") in
   ignore q;
-  let t = PCa.analyze ~db:edb p in
+  let t = PCa.analyze ~edb:(PCa.measure edb) p in
   Alcotest.(check bool) "measured" true (PCa.measured t);
   let s = PCa.stat t (Symbol.make "p" 2) in
   Alcotest.(check (float 0.01)) "edb card exact" 10. s.PCa.card;
@@ -60,19 +60,54 @@ let test_card_symbolic () =
        (PCa.diagnostics t))
 
 let test_graph_shape () =
-  let e a b = (Term.Sym a, Term.Sym b) in
-  let shape =
-    PCa.graph_shape
-      ~edges:[ e "a" "b"; e "b" "c"; e "a" "c" ]
-      ~roots:[ Term.Sym "a" ]
-  in
+  let shape = PCa.graph_shape (PCa.graph [ (0, 1); (1, 2); (0, 2) ]) ~roots:[ 0 ] in
   Alcotest.(check bool) "acyclic" true shape.PCa.acyclic;
   Alcotest.(check (float 0.01)) "longest" 2. shape.PCa.longest;
   Alcotest.(check (float 0.01)) "reachable" 3. shape.PCa.reachable;
-  let cyc =
-    PCa.graph_shape ~edges:[ e "a" "b"; e "b" "a" ] ~roots:[ Term.Sym "a" ]
-  in
+  Alcotest.(check (float 0.01)) "paths" 4. shape.PCa.total_paths;
+  let cyc = PCa.graph_shape (PCa.graph [ (0, 1); (1, 0) ]) ~roots:[ 0 ] in
   Alcotest.(check bool) "cyclic detected" false cyc.PCa.acyclic
+
+(* Measuring the EDB once and overlaying each candidate's seeds must be
+   indistinguishable from analysing a copy of the database with the
+   seeds inserted: every stat, the probe and round estimates, the
+   universe and the widened set.  Besides the rewritings' magic seeds,
+   two base facts are overlaid, so seeds that duplicate or extend a
+   measured relation are covered too. *)
+let prop_shared_edb_equals_copy =
+  qtest ~count:60 "card: measured-once EDB + seed overlay = copied database"
+    gen_random_case
+    (fun (src, facts) ->
+      let p = program src in
+      let db = Engine.Database.of_facts facts in
+      let edb = PCa.measure db in
+      let q = Atom.make "i0" [ Term.Sym "n0"; Term.Var "Y" ] in
+      let extra = [ atom "e0(n0, n1)"; atom "e2(n3, n8)" ] in
+      List.for_all
+        (fun rewriting ->
+          let rw = C.Rewrite.rewrite rewriting p q in
+          let program = rw.C.Rewritten.program in
+          let seeds = List.filter Atom.is_ground rw.C.Rewritten.seeds @ extra in
+          let shared = PCa.analyze ~edb ~seeds program in
+          let copy = Engine.Database.copy db in
+          List.iter (fun a -> ignore (Engine.Database.add_fact copy a)) seeds;
+          let recomputed = PCa.analyze ~edb:(PCa.measure copy) program in
+          let syms =
+            Symbol.Set.elements (Program.predicates program)
+            @ Engine.Database.symbols copy
+          in
+          let same_stat sym =
+            let a = PCa.stat shared sym and b = PCa.stat recomputed sym in
+            Float.equal a.PCa.card b.PCa.card
+            && Array.length a.PCa.distinct = Array.length b.PCa.distinct
+            && Array.for_all2 Float.equal a.PCa.distinct b.PCa.distinct
+          in
+          List.for_all same_stat syms
+          && Float.equal (PCa.est_probes shared) (PCa.est_probes recomputed)
+          && Float.equal (PCa.est_rounds shared) (PCa.est_rounds recomputed)
+          && Float.equal (PCa.universe shared) (PCa.universe recomputed)
+          && List.equal Symbol.equal (PCa.widened shared) (PCa.widened recomputed))
+        C.Rewrite.[ GMS; GSMS; GC; GSC ])
 
 (* ------------------------------------------------------------------ *)
 (* Pass_cost verdicts                                                  *)
@@ -202,11 +237,78 @@ let test_session_auto_create () =
     (List.sort Engine.Tuple.compare (Incr.Session.answers s))
     (sorted_answers scratch)
 
+(* ------------------------------------------------------------------ *)
+(* golden reports: the benchmark's query families                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Five programs shaped like the one-shot benchmark families, built with
+   lib/workload.  The report is pinned byte for byte together with every
+   estimate in hexadecimal, so a change to the estimator's arithmetic
+   (operation order included) shows up here even when the rounded report
+   does not move.  On a mismatch the new report is written next to the
+   test binary as NAME.cost.actual. *)
+let golden_families =
+  let module G = Workload.Generate in
+  let module P = Workload.Programs in
+  let n = G.node "n" in
+  [
+    ("ancestor", P.ancestor, G.chain ~pred:"p" ~prefix:"n" 700, P.ancestor_query (n 350));
+    ( "sg",
+      P.nonlinear_same_generation,
+      G.bushy_same_generation ~prefix:"bsg" ~branching:3 ~depth:5 (),
+      P.same_generation_query (G.node "bsg" 20) );
+    ( "tc_dense",
+      P.transitive_closure,
+      G.dense_graph ~pred:"edge" ~nodes:200 ~degree:6 ~seed:11 (),
+      P.tc_query (n 17) );
+    ( "hub",
+      P.hub,
+      G.chain ~pred:"edge" ~prefix:"n" 1000
+      @ List.init 3 (fun i -> Atom.make "spoke" [ G.node "h" 0; n (750 + i) ]),
+      P.hub_query (G.node "h" 0) );
+    ( "reverse",
+      P.list_reverse,
+      [],
+      P.reverse_query
+        (Term.list (List.init 35 (fun i -> Term.Int (i * 17 mod 35)))) );
+  ]
+
+let exact_report (t : PCo.t) =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Fmt.str "%a@." PCo.pp_report t);
+  Buffer.add_string b
+    (Fmt.str "exact universe=%h rounds_bound=%h winner=%s\n" t.PCo.universe
+       t.PCo.rounds_bound t.PCo.winner.PCo.name);
+  List.iter
+    (fun (e : PCo.estimate) ->
+      Buffer.add_string b
+        (Fmt.str
+           "exact %s magic=%h facts=%h probes=%h rounds=%h score=%h widened=[%s]\n"
+           e.PCo.name e.PCo.est_magic e.PCo.est_facts e.PCo.est_probes
+           e.PCo.est_rounds e.PCo.score
+           (String.concat " " e.PCo.widened)))
+    t.PCo.ranked;
+  Buffer.contents b
+
+(* dune runtest runs in _build/default/test, dune exec from the root *)
+let golden_dir = if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
+
+let test_golden_family (name, program, facts, query) () =
+  let actual = exact_report (PCo.choose ~db:(Workload.Generate.db facts) program query) in
+  let path = Filename.concat golden_dir (name ^ ".cost") in
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  if actual <> expected then begin
+    Out_channel.with_open_bin (name ^ ".cost.actual") (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.(check string) (name ^ " report") expected actual
+  end
+
 let suite =
   [
     Alcotest.test_case "card: measured chain" `Quick test_card_measured;
     Alcotest.test_case "card: symbolic fallback" `Quick test_card_symbolic;
     Alcotest.test_case "card: graph shape" `Quick test_graph_shape;
+    prop_shared_edb_equals_copy;
     Alcotest.test_case "cost: deep chain excludes counting" `Quick
       test_deep_chain_excludes_counting;
     Alcotest.test_case "cost: cyclic data excludes counting" `Quick
@@ -229,3 +331,7 @@ let suite =
     Alcotest.test_case "session: restricted candidates" `Quick test_session_choice;
     Alcotest.test_case "session: auto create" `Quick test_session_auto_create;
   ]
+  @ List.map
+      (fun ((name, _, _, _) as family) ->
+        Alcotest.test_case ("golden: " ^ name) `Quick (test_golden_family family))
+      golden_families

@@ -131,33 +131,6 @@ let test_absorb_rejects_negative_counters () =
   S.absorb ~into (fill 3);
   Alcotest.(check int) "normal absorb unaffected" 3 into.S.iterations
 
-(* gc counters are per-domain: a multi-domain region's total is the sum
-   of each domain's delta, folded with gc_add from the gc_zero identity *)
-let test_gc_add () =
-  let g1 =
-    {
-      S.minor_words = 10.;
-      major_words = 4.;
-      promoted_words = 2.;
-      minor_collections = 3;
-      major_collections = 1;
-    }
-  and g2 =
-    {
-      S.minor_words = 5.;
-      major_words = 1.;
-      promoted_words = 0.5;
-      minor_collections = 2;
-      major_collections = 0;
-    }
-  in
-  Alcotest.(check bool) "gc_zero is the identity" true (S.gc_add S.gc_zero g1 = g1);
-  let s = S.gc_add g1 g2 in
-  Alcotest.(check bool) "pointwise sum" true
-    (s.S.minor_words = 15. && s.S.major_words = 5. && s.S.promoted_words = 2.5
-   && s.S.minor_collections = 5 && s.S.major_collections = 1);
-  Alcotest.(check bool) "commutative" true (S.gc_add g1 g2 = S.gc_add g2 g1)
-
 let test_engine_counts_are_consistent () =
   (* firings = facts + rederivations for every engine *)
   let p, q, edb =
@@ -223,7 +196,6 @@ let suite =
       test_merge_commutative_associative;
     Alcotest.test_case "absorb rejects negative counters" `Quick
       test_absorb_rejects_negative_counters;
-    Alcotest.test_case "gc_add" `Quick test_gc_add;
     Alcotest.test_case "engine consistency" `Quick test_engine_counts_are_consistent;
     Alcotest.test_case "probes skip missing relations" `Quick
       test_probes_skip_missing_relations;
