@@ -1110,7 +1110,7 @@ let serve_trial ~conns =
         | Server.Protocol.Answers { epoch; cache_hit; answers; _ } ->
           latencies := (Unix.gettimeofday () -. t0) :: !latencies;
           if cache_hit then incr hits;
-          queries := (k, epoch, answers) :: !queries
+          queries := (k, epoch, Server.Protocol.rows_list answers) :: !queries
         | Server.Protocol.Error { message; _ } -> fail "query rejected: %s" message
         | _ -> fail "unexpected reply to query"
       end
@@ -1290,7 +1290,7 @@ let serve_part_trial mode =
         match Server.Client.request c (Server.Protocol.Query atom) with
         | Server.Protocol.Answers { epoch; answers; _ } ->
           latencies := (Unix.gettimeofday () -. t0) :: !latencies;
-          queries := (on_b, k, epoch, answers) :: !queries
+          queries := (on_b, k, epoch, Server.Protocol.rows_list answers) :: !queries
         | Server.Protocol.Error { message; _ } -> fail "query rejected: %s" message
         | _ -> fail "unexpected reply to query"
       end

@@ -740,8 +740,8 @@ let client_cmd =
       | Server.Protocol.Answers { epoch; cache_hit; answers; time_s } ->
         List.iter
           (fun row -> Fmt.pr "(%s)@." (String.concat ", " row))
-          answers;
-        Fmt.pr "%% %d answers epoch=%d cache=%s %.3fms@." (List.length answers)
+          (Server.Protocol.rows_list answers);
+        Fmt.pr "%% %d answers epoch=%d cache=%s %.3fms@." answers.Server.Protocol.count
           epoch
           (if cache_hit then "hit" else "miss")
           (time_s *. 1e3)

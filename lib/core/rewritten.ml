@@ -58,29 +58,19 @@ let restore_tuple restore args =
     weave 0 sorted args
   end
 
+let answer_row ~index_fields ~restore tuple =
+  let rec drop n xs = if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r in
+  restore_tuple restore (drop index_fields (Engine.Tuple.to_list tuple))
+
 let answers t outcome =
   match Engine.Database.find outcome.Engine.Eval.db (Atom.symbol t.query) with
   | None -> []
   | Some rel ->
-    let keep tuple =
-      Option.is_some
-        (Subst.match_list t.query.Atom.args (Engine.Tuple.to_list tuple) Subst.empty)
-    in
-    let projected =
-      Engine.Relation.fold
-        (fun tuple acc ->
-          if keep tuple then
-            let args =
-              let rec drop n xs =
-                if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r
-              in
-              drop t.index_fields (Engine.Tuple.to_list tuple)
-            in
-            Engine.Tuple.Set.add (Engine.Tuple.of_list (restore_tuple t.restore args)) acc
-          else acc)
-        rel Engine.Tuple.Set.empty
-    in
-    Engine.Tuple.Set.elements projected
+    let rows = ref Engine.Tuple.Set.empty in
+    Engine.Relation.select rel t.query.Atom.args (fun tuple ->
+        let row = answer_row ~index_fields:t.index_fields ~restore:t.restore tuple in
+        rows := Engine.Tuple.Set.add (Engine.Tuple.of_list row) !rows);
+    Engine.Tuple.Set.elements !rows
 
 let pp ppf t =
   Fmt.pf ppf "%a@\n%a@\n?- %a." Program.pp t.program

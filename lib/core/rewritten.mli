@@ -58,9 +58,15 @@ val run :
     semi-naive; [`Seminaive_reference] is the uncompiled seed engine,
     kept for differential testing and before/after benchmarks). *)
 
+val answer_row :
+  index_fields:int -> restore:(int * Term.t) list -> Engine.Tuple.t -> Term.t list
+(** One tuple of the query's predicate as a row of the original query's
+    answer: the leading [index_fields] dropped, the [restore] constants
+    re-inserted.  Interns nothing, so snapshot readers may use it. *)
+
 val answers : t -> Engine.Eval.outcome -> Engine.Tuple.t list
 (** Answer tuples for the query: facts of the query's (indexed) predicate
-    matching the query's constants, with index fields projected out and
-    duplicates removed, sorted. *)
+    matching the query's arguments ({!Engine.Relation.select}), each
+    projected by {!answer_row}, duplicates removed, sorted. *)
 
 val pp : t Fmt.t

@@ -284,15 +284,9 @@ let answers outcome query =
   match Database.find outcome.db (Atom.symbol query) with
   | None -> []
   | Some rel ->
-    let matching =
-      Relation.fold
-        (fun t acc ->
-          match Subst.match_list query.Atom.args (Tuple.to_list t) Subst.empty with
-          | Some _ -> t :: acc
-          | None -> acc)
-        rel []
-    in
-    List.sort Tuple.compare matching
+    let acc = ref [] in
+    Relation.select rel query.Atom.args (fun t -> acc := t :: !acc);
+    List.sort Tuple.compare !acc
 
 let run ~engine ?max_iterations ?max_facts program ~edb =
   let stats = Stats.create () in

@@ -42,8 +42,8 @@ val seminaive_reference :
     instantiations that join two same-round facts. *)
 
 val answers : outcome -> Atom.t -> Tuple.t list
-(** Tuples of the query's predicate matching the query atom's constant
-    arguments, sorted. *)
+(** Tuples of the query's predicate matching the query atom's arguments
+    ({!Relation.select}), sorted. *)
 
 (** {2 Engine internals}
 

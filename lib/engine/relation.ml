@@ -22,18 +22,27 @@
    constructed tuple is physically unique) and costs one byte per log
    slot.
 
-   Index buckets hold [(stamp, tuple)] pairs in descending stamp order
-   (newest first), so a range-restricted probe skips the too-new prefix
-   and stops at the first too-old entry.  Buckets are mutable list refs,
-   so maintaining an index on insert is a single hash lookup (find +
-   in-place push); the bound positions of each index are precomputed for
-   the same reason.  Probes resolve the index for a binding pattern by
+   An index bucket holds the stamps of the tuples sharing one key in a
+   growable [int] array, ascending (stamps are handed out in increasing
+   order), and is read newest-first from its end; the tuples themselves
+   are taken from the log.  One word per entry, against six for the
+   former [(stamp, tuple)] pair plus cons cell.  A range-restricted probe
+   skips the too-new suffix and stops at the first too-old entry.  A
+   traversal reads the [(entries, n)] pair it started with: an insert
+   only ever writes past [n] (or into a grown copy), and a removal
+   replaces the array with a copy lacking the stamp (copy-on-remove), so
+   the traversed prefix is never written — the snapshot semantics
+   {!iter_matching} documents.  The bound positions of each index are
+   precomputed, and probes resolve the index for a binding pattern by
    physical equality first — the executors pass the same compile-time
    pattern array on every probe — so the common case is a pointer walk
    over a one- or two-element list. *)
 
-type bucket = (int * Tuple.t) list
-type index = bucket ref Ttbl.t
+type bucket = { mutable entries : int array; mutable n : int }  (* stamps *)
+type index = bucket Ttbl.t
+
+(* the dummy every index table returns on a miss; never written *)
+let no_bucket = { entries = [||]; n = 0 }
 
 type t = {
   arity : int;
@@ -71,12 +80,43 @@ let bound_positions pattern =
   Array.of_list (List.rev !acc)
 
 (* probe by projection ({!Ttbl.get_proj}); the key array is only
-   materialized when this bucket is new *)
+   materialized when this bucket is new.  [stamp] exceeds every stamp in
+   the bucket, so appending keeps it ascending. *)
 let index_add idx positions stamp t =
-  let bucket = Ttbl.get_proj idx positions t in
-  if bucket != Ttbl.dummy idx then bucket := (stamp, t) :: !bucket
-  else
-    Ttbl.replace idx (Array.map (fun i -> t.(i)) positions) (ref [ (stamp, t) ])
+  let b = Ttbl.get_proj idx positions t in
+  if b == no_bucket then
+    Ttbl.replace idx (Array.map (fun i -> t.(i)) positions) { entries = [| stamp |]; n = 1 }
+  else begin
+    if b.n = Array.length b.entries then begin
+      let grown = Array.make (2 * b.n) 0 in
+      Array.blit b.entries 0 grown 0 b.n;
+      b.entries <- grown
+    end;
+    b.entries.(b.n) <- stamp;
+    b.n <- b.n + 1
+  end
+
+(* position of [stamp] in the ascending prefix [0, n) of [a] *)
+let rec find_stamp a stamp lo hi =
+  let mid = (lo + hi) / 2 in
+  let s = a.(mid) in
+  if s = stamp then mid
+  else if s < stamp then find_stamp a stamp (mid + 1) hi
+  else find_stamp a stamp lo mid
+
+(* copy-on-remove: a traversal holding the old array keeps its view *)
+let index_remove idx positions stamp t =
+  let b = Ttbl.get_proj idx positions t in
+  if b != no_bucket then
+    if b.n = 1 then Ttbl.remove idx (Array.map (fun i -> t.(i)) positions)
+    else begin
+      let i = find_stamp b.entries stamp 0 b.n in
+      let rest = Array.make (b.n - 1) 0 in
+      Array.blit b.entries 0 rest 0 i;
+      Array.blit b.entries (i + 1) rest i (b.n - 1 - i);
+      b.entries <- rest;
+      b.n <- b.n - 1
+    end
 
 let push r t =
   if r.len = Array.length r.log then begin
@@ -105,27 +145,13 @@ let add r t =
     true
   end
 
-(* stamps are unique per bucket: drop the single matching entry and stop,
-   sharing the unscanned tail instead of rebuilding the whole list *)
-let rec drop_stamp stamp = function
-  | [] -> []
-  | (s, _) :: rest when s = stamp -> rest
-  | entry :: rest -> entry :: drop_stamp stamp rest
-
 let remove r t =
   let stamp = Ttbl.get r.stamps t in
   if stamp < 0 then false
   else begin
     Ttbl.remove r.stamps t;
     Bytes.set r.dead stamp '\001';
-    List.iter
-      (fun (_, positions, idx) ->
-        let bucket = Ttbl.get_proj idx positions t in
-        if bucket != Ttbl.dummy idx then
-          match drop_stamp stamp !bucket with
-          | [] -> Ttbl.remove idx (Array.map (fun i -> t.(i)) positions)
-          | remaining -> bucket := remaining)
-      r.indexes;
+    List.iter (fun (_, positions, idx) -> index_remove idx positions stamp t) r.indexes;
     true
   end
 
@@ -157,7 +183,7 @@ let ensure_index r pattern =
   match find_index pattern r.indexes with
   | Some idx -> idx
   | None ->
-    let idx = Ttbl.create (ref []) in
+    let idx = Ttbl.create no_bucket in
     let positions = bound_positions pattern in
     for i = 0 to r.len - 1 do
       if live r i then index_add idx positions i r.log.(i)
@@ -165,24 +191,28 @@ let ensure_index r pattern =
     r.indexes <- (pattern, positions, idx) :: r.indexes;
     idx
 
-(* newest first: skip stamps >= hi, stop below lo *)
-let rec iter_bucket ~lo ~hi f = function
-  | [] -> ()
-  | (stamp, t) :: rest ->
-    if stamp >= hi then iter_bucket ~lo ~hi f rest
+(* newest first from position [i] down: skip stamps >= hi, stop below
+   lo.  Top-level so a probe allocates no closure. *)
+let rec iter_stamps r stamps i ~lo ~hi f =
+  if i >= 0 then begin
+    let stamp = Array.unsafe_get stamps i in
+    if stamp >= hi then iter_stamps r stamps (i - 1) ~lo ~hi f
     else if stamp >= lo then begin
-      f t;
-      iter_bucket ~lo ~hi f rest
+      f r.log.(stamp);
+      iter_stamps r stamps (i - 1) ~lo ~hi f
     end
+  end
+
+(* over the [(entries, n)] pair read at the start *)
+let iter_bucket r b ~lo ~hi f = iter_stamps r b.entries (b.n - 1) ~lo ~hi f
 
 let iter_matching_in r ~pattern ~key ~lo ~hi f =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.iter_matching_in: pattern arity mismatch";
   if Array.for_all not pattern then iter_in r ~lo ~hi f
   else
-    let idx = ensure_index r pattern in
-    let bucket = Ttbl.get idx key in
-    if bucket != Ttbl.dummy idx then iter_bucket ~lo ~hi f !bucket
+    let b = Ttbl.get (ensure_index r pattern) key in
+    if b != no_bucket then iter_bucket r b ~lo ~hi f
 
 let iter_matching r ~pattern ~key f = iter_matching_in r ~pattern ~key ~lo:0 ~hi:max_int f
 
@@ -190,6 +220,65 @@ let lookup r ~pattern ~key =
   let acc = ref [] in
   iter_matching r ~pattern ~key (fun t -> acc := t :: !acc);
   !acc
+
+(* ---- selection by query arguments ----
+
+   The one answer projection every layer shares: [Eval.answers],
+   [Rewritten.answers], snapshot reads and the serving cache all read
+   "the tuples matching these arguments" through [select]. *)
+
+let selection r args =
+  let argv = Array.of_list args in
+  if Array.length argv <> r.arity then invalid_arg "Relation.select: argument count mismatch";
+  match Tuple.find_of_list (List.filter Datalog.Term.is_ground args) with
+  | None -> None (* a constant never interned occurs in no relation *)
+  | Some key ->
+    let nonvar_open = function Datalog.Term.Var _ -> false | a -> not (Datalog.Term.is_ground a) in
+    let keep =
+      if Array.exists nonvar_open argv then fun t ->
+        Option.is_some (Datalog.Subst.match_list args (Tuple.to_list t) Datalog.Subst.empty)
+      else begin
+        (* a repeated variable forces equal components *)
+        let first = Hashtbl.create 4 and eqs = ref [] in
+        Array.iteri
+          (fun i -> function
+            | Datalog.Term.Var v -> (
+              match Hashtbl.find_opt first v with
+              | Some j -> eqs := (i, j) :: !eqs
+              | None -> Hashtbl.add first v i)
+            | _ -> ())
+          argv;
+        match !eqs with
+        | [] -> fun _ -> true
+        | eqs -> fun t -> List.for_all (fun (i, j) -> Value.equal t.(i) t.(j)) eqs
+      end
+    in
+    Some (Array.map Datalog.Term.is_ground argv, key, keep)
+
+let select r ?(lo = 0) ?(hi = max_int) args f =
+  match selection r args with
+  | None -> ()
+  | Some (pattern, key, keep) ->
+    let f t = if keep t then f t in
+    if Array.for_all not pattern then iter_in r ~lo ~hi f
+    else begin
+      match find_index pattern r.indexes with
+      | Some idx ->
+        let b = Ttbl.get idx key in
+        if b != no_bucket then iter_bucket r b ~lo ~hi f
+      | None ->
+        (* no index for this pattern: never build one here (readers
+           share the relation), scan the range instead *)
+        let positions = bound_positions pattern in
+        iter_in r ~lo ~hi (fun t -> if Tuple.equal_proj positions t key then f t)
+    end
+
+let prepare r args =
+  let pattern = Array.of_list (List.map Datalog.Term.is_ground args) in
+  if Array.length pattern <> r.arity then invalid_arg "Relation.prepare: argument count mismatch";
+  if Array.exists Fun.id pattern then ignore (ensure_index r pattern)
+
+let indexed r = List.map (fun (pattern, _, _) -> pattern) r.indexes
 
 let copy r =
   let r' = create r.arity in

@@ -68,11 +68,34 @@ val iter_matching : t -> pattern:bool array -> key:Tuple.t -> (Tuple.t -> unit) 
     relation; otherwise the bucket of the on-demand index for [pattern]
     is traversed in place.  The traversal sees a snapshot: tuples the
     callback inserts (into any relation, including this one) are not
-    visited. *)
+    visited; under a pattern with a bound position, tuples it removes
+    from this relation still are. *)
 
 val iter_matching_in :
   t -> pattern:bool array -> key:Tuple.t -> lo:int -> hi:int -> (Tuple.t -> unit) -> unit
 (** {!iter_matching} restricted to the stamp range [\[lo, hi)]. *)
+
+val select : t -> ?lo:int -> ?hi:int -> Datalog.Term.t list -> (Tuple.t -> unit) -> unit
+(** [select r args f] applies [f] to the live tuples with stamps in
+    [\[lo, hi)] (default: all) that match [args], one term per
+    position: a ground term must equal the component, a variable matches
+    anything (a repeated variable forces equal components), and a
+    non-ground compound term must match structurally.  A ground argument
+    that was never interned matches nothing.  The order is unspecified.
+
+    [select] probes the index for the pattern of ground positions when
+    it already exists and scans the range otherwise; it never builds an
+    index (see {!prepare}) and writes nothing, so any number of readers
+    may run it concurrently while no writer does.
+    @raise Invalid_argument if [args] does not have the relation's arity. *)
+
+val prepare : t -> Datalog.Term.t list -> unit
+(** Build, if missing, the index {!select} probes for arguments with the
+    ground positions of [args] (nothing when no position is ground).  The
+    index is then kept up to date by inserts and removals. *)
+
+val indexed : t -> bool array list
+(** The binding patterns that currently have an index. *)
 
 val copy : t -> t
 (** A fresh relation with the same tuples, re-stamped in insertion order,

@@ -47,13 +47,14 @@ let cardinal t sym = fold t sym (fun _ n -> n + 1) 0
 let total t =
   Symbol.Tbl.fold (fun sym _ acc -> acc + cardinal t sym) t.marks 0
 
-let matching t (a : Atom.t) =
-  let tuples =
-    fold t (Atom.symbol a)
-      (fun tu acc ->
-        match Subst.match_list a.Atom.args (Tuple.to_list tu) Subst.empty with
-        | Some _ -> tu :: acc
-        | None -> acc)
-      []
-  in
-  List.sort Tuple.compare tuples
+let select t ?since (a : Atom.t) f =
+  match Symbol.Tbl.find_opt t.marks (Atom.symbol a) with
+  | None -> ()
+  | Some (rel, w) ->
+    let lo = match since with Some s -> watermark s (Atom.symbol a) | None -> 0 in
+    Relation.select rel ~lo ~hi:w a.Atom.args f
+
+let matching t a =
+  let acc = ref [] in
+  select t a (fun tu -> acc := tu :: !acc);
+  List.sort Tuple.compare !acc

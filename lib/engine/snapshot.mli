@@ -13,9 +13,10 @@
     The serving layer ({!module:Server}) enforces exactly that with a
     write-preferring reader/writer lock and an epoch counter: readers
     pin the published snapshot under the read lock, writers republish
-    under the write lock.  All snapshot reads are index-free (log
-    iteration, no lazy index construction), so concurrent readers never
-    mutate the relations they share. *)
+    under the write lock.  Snapshot reads never build an index: they
+    probe an index the writer prepared ({!Relation.prepare}) and iterate
+    the log otherwise, so concurrent readers never mutate the relations
+    they share. *)
 
 open Datalog
 
@@ -49,8 +50,11 @@ val cardinal : t -> Symbol.t -> int
 val total : t -> int
 (** Sum of {!cardinal} over all captured relations. *)
 
+val select : t -> ?since:t -> Atom.t -> (Tuple.t -> unit) -> unit
+(** The snapshot tuples of the atom's predicate that match its arguments
+    ({!Relation.select}: an existing index is probed, none is built), in
+    no particular order.  With [since], only the tuples captured by this
+    snapshot but not by [since] — an insert-only commit's additions. *)
+
 val matching : t -> Atom.t -> Tuple.t list
-(** The snapshot tuples of the atom's predicate whose components match
-    the atom's arguments (variables bind, constants must be equal),
-    sorted.  The scan is a log iteration: no index is consulted or
-    built, so it is safe from any number of concurrent readers. *)
+(** {!select}, sorted. *)

@@ -44,21 +44,13 @@ exception Budget_exhausted
 
 (* Per-transaction change summary: the net effect on every touched
    relation (base and derived alike), built from the repair state the
-   delta passes compute anyway.  [d_added] materializes the inserted
-   tuples so callers (the serving layer's cache repair) can append them
-   to derived views; it is [None] when the insertion delta exceeds
-   [added_cap] — summarizing stays O(delta), and a caller that needed
-   the rows falls back to recomputation. *)
-type delta = {
-  d_pred : Symbol.t;
-  d_inserted : int;
-  d_deleted : int;
-  d_added : Tup.t list option;
-}
+   delta passes compute anyway.  The inserted tuples themselves are the
+   relation's stamps at or above the pre-transaction watermark; a
+   caller holding a snapshot from before the transaction reads them
+   there. *)
+type delta = { d_pred : Symbol.t; d_inserted : int; d_deleted : int }
 
 type summary = delta list
-
-let added_cap = 10_000
 
 let touched summary =
   List.fold_left
@@ -641,23 +633,11 @@ let summarize t changes =
       (fun sym (c : change) acc ->
         let deleted = Rel.cardinal c.dminus in
         let inserted = ref 0 in
-        let rows = ref [] in
-        (match Db.find t.db sym with
-        | None -> ()
-        | Some rel ->
-          Rel.iter_in rel ~lo:c.w ~hi:max_int (fun tu ->
-              incr inserted;
-              if !inserted <= added_cap then rows := tu :: !rows));
+        Option.iter
+          (fun rel -> Rel.iter_in rel ~lo:c.w ~hi:max_int (fun _ -> incr inserted))
+          (Db.find t.db sym);
         if deleted = 0 && !inserted = 0 then acc
-        else
-          {
-            d_pred = sym;
-            d_inserted = !inserted;
-            d_deleted = deleted;
-            d_added =
-              (if !inserted > added_cap then None else Some (List.rev !rows));
-          }
-          :: acc)
+        else { d_pred = sym; d_inserted = !inserted; d_deleted = deleted } :: acc)
       changes []
   in
   List.sort (fun a b -> Symbol.compare a.d_pred b.d_pred) deltas
@@ -845,6 +825,14 @@ let answers t query =
   Engine.Eval.answers
     { Engine.Eval.db = t.db; stats = Stats.create (); diverged = false }
     query
+
+let asserted t (a : Atom.t) =
+  let sym = Atom.symbol a in
+  if not (Symbol.Set.mem sym t.derived) then Db.mem t.db a
+  else
+    match (Symbol.Tbl.find_opt t.external_ sym, Tup.find_of_list a.Atom.args) with
+    | Some ext, Some tu -> Rel.mem ext tu
+    | _ -> false
 
 let support_count t sym tuple =
   match Symbol.Tbl.find_opt t.counts sym with

@@ -44,14 +44,12 @@ type delta = {
   d_pred : Symbol.t;  (** the touched relation (base or derived) *)
   d_inserted : int;  (** net tuples inserted this transaction *)
   d_deleted : int;  (** net tuples deleted this transaction *)
-  d_added : Engine.Tuple.t list option;
-      (** the inserted tuples themselves, or [None] when there are more
-          than an internal cap (summarizing must stay O(delta)); a
-          caller needing the rows then falls back to recomputation *)
 }
 (** One touched relation's net effect in a transaction's change
     summary.  A relation with both [d_inserted = 0] and [d_deleted = 0]
-    is never reported. *)
+    is never reported.  The inserted tuples themselves are the ones a
+    snapshot taken after the transaction holds beyond a snapshot taken
+    before it ({!Engine.Snapshot.select} with [since]). *)
 
 type summary = delta list
 (** A transaction's change summary, sorted by predicate.  The effect is
@@ -106,6 +104,12 @@ val of_image : Program.t -> image -> t
 
 val answers : t -> Atom.t -> Engine.Tuple.t list
 (** The current tuples matching a query atom, sorted. *)
+
+val asserted : t -> Atom.t -> bool
+(** The ground fact holds by insertion: a present fact of a base
+    predicate, or one carrying external support on a derived predicate
+    (an installed magic seed).  Inserting it again would change
+    nothing. *)
 
 val support_count : t -> Symbol.t -> Engine.Tuple.t -> int option
 (** [Some n] for a counting-maintained predicate ([n = 0] if absent);

@@ -94,34 +94,46 @@ let answers t =
 
 let same_program p1 p2 = List.equal Rule.equal (Program.rules p1) (Program.rules p2)
 
-let query_delta ?max_facts t q =
+let query_delta ?max_facts ?rewritten t q =
   match t.strategy with
   | Original | Auto ->
     t.query <- q;
-    (answers t, Engine.Stats.create (), [])
+    (0, Engine.Stats.create (), [])
   | GMS | GSMS ->
-    let rw = Option.get t.rw in
-    let rw' = C.Rewrite.rewrite ~options:t.options (rewriting t.strategy) t.program q in
-    if not (same_program rw.C.Rewritten.program rw'.C.Rewritten.program) then
-      raise
-        (Incompatible_query
-           (Fmt.str
-              "query %a rewrites to a different program than the session's (the \
-               binding pattern differs); start a new session"
-              Atom.pp q));
+    let rw' =
+      match rewritten with
+      | Some rw' -> rw'
+      | None ->
+        let rw' = C.Rewrite.rewrite ~options:t.options (rewriting t.strategy) t.program q in
+        if not (same_program (Option.get t.rw).C.Rewritten.program rw'.C.Rewritten.program)
+        then
+          raise
+            (Incompatible_query
+               (Fmt.str
+                  "query %a rewrites to a different program than the session's (the \
+                   binding pattern differs); start a new session"
+                  Atom.pp q));
+        rw'
+    in
     (* dynamic magic sets: install the new query's seeds and let
-       maintenance extend the magic cone incrementally *)
+       maintenance extend the magic cone incrementally; seeds already
+       installed cost nothing *)
+    let fresh =
+      List.filter (fun s -> not (Maintain.asserted t.maintain s)) rw'.C.Rewritten.seeds
+    in
     let stats, summary =
-      Maintain.apply_delta ?max_facts t.maintain
-        (List.map (fun s -> Maintain.Insert s) rw'.C.Rewritten.seeds)
+      if fresh = [] then (Engine.Stats.create (), [])
+      else
+        Maintain.apply_delta ?max_facts t.maintain
+          (List.map (fun s -> Maintain.Insert s) fresh)
     in
     t.rw <- Some rw';
     t.query <- q;
-    (answers t, stats, summary)
+    (List.length fresh, stats, summary)
 
 let query ?max_facts t q =
-  let answers, stats, _summary = query_delta ?max_facts t q in
-  (answers, stats)
+  let _installed, stats, _summary = query_delta ?max_facts t q in
+  (answers t, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Persistence images                                                   *)

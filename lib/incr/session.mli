@@ -59,11 +59,19 @@ val query : ?max_facts:int -> t -> Atom.t -> Engine.Tuple.t list * Engine.Stats.
 
 val query_delta :
   ?max_facts:int ->
+  ?rewritten:C.Rewritten.t ->
   t ->
   Atom.t ->
-  Engine.Tuple.t list * Engine.Stats.t * Maintain.summary
-(** {!query}, also surfacing the change summary of the seed-install
-    transaction (empty under [Original], which installs nothing). *)
+  int * Engine.Stats.t * Maintain.summary
+(** Make the atom the session's current query and install its seeds,
+    without projecting any answer: returns the number of seed facts
+    newly installed (0 under [Original], and when every seed was already
+    installed — the call then changes no relation), the maintenance
+    statistics and the install transaction's change summary.  A caller
+    that already rewrote the query and checked it against {!rewritten}
+    passes that rewrite as [rewritten]; the session then neither
+    rewrites nor compares programs again.
+    @raise Incompatible_query as {!query}. *)
 
 val answers : t -> Engine.Tuple.t list
 (** Answers of the current query against the maintained state; under a

@@ -84,7 +84,7 @@ let load_from_disk ~dir ~program ~digest ~strategy_req ~max_facts =
     (fun record ->
       match record with
       | Wal.Txn ops -> ignore (Session.update ?max_facts session ops)
-      | Wal.Install q -> ignore (Session.query ?max_facts session q))
+      | Wal.Install q -> ignore (Session.query_delta ?max_facts session q))
     records;
   (session, List.length records)
 
@@ -193,9 +193,9 @@ let update_delta t ops =
 let update t ops = fst (update_delta t ops)
 
 let query t q =
-  let answers, stats, summary = Session.query_delta ?max_facts:t.max_facts t.session q in
-  if summary <> [] then journal_install t q;
-  (answers, stats)
+  let installed, stats, _summary = Session.query_delta ?max_facts:t.max_facts t.session q in
+  if installed > 0 then journal_install t q;
+  (Session.answers t.session, stats)
 
 (* The base EDB plus externally asserted facts of the original program's
    derived predicates; magic/supplementary relations (derived under the

@@ -91,23 +91,16 @@ let bind_listen = function
     Unix.listen fd 64;
     fd
 
-(* accept() has no timeout; to unblock the acceptor after a shutdown
-   request we connect to our own listening address once *)
-let poke addr =
-  match addr with
-  | Unix.ADDR_UNIX _ | Unix.ADDR_INET _ -> (
-    let dom = Unix.domain_of_sockaddr addr in
-    let fd = Unix.socket dom Unix.SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ -> ( try Unix.close fd with _ -> ()))
-
 let run ?(jobs = 2) ?on_ready listen registry =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let lfd = bind_listen listen in
-  let addr = Unix.getsockname lfd in
-  Option.iter (fun f -> f addr) on_ready;
+  (* the acceptor waits on the listening socket and on this pipe;
+     shutdown writes one byte, which stays readable until the acceptor
+     looks, so the wake-up cannot be lost *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock lfd;
+  Option.iter (fun f -> f (Unix.getsockname lfd)) on_ready;
   let pool =
     {
       m = Mutex.create ();
@@ -116,15 +109,18 @@ let run ?(jobs = 2) ?on_ready listen registry =
       stop = Atomic.make false;
     }
   in
+  let stop () =
+    Atomic.set pool.stop true;
+    ignore (Unix.write_substring wake_w "x" 0 1)
+  in
   let worker () =
     let rec go () =
       match pop pool with
       | None -> ()
       | Some fd ->
         if handle_conn registry fd then begin
-          Atomic.set pool.stop true;
-          (* wake the blocked acceptor and any idle workers *)
-          poke addr;
+          stop ();
+          (* wake any idle workers *)
           Mutex.lock pool.m;
           Condition.broadcast pool.nonempty;
           Mutex.unlock pool.m
@@ -139,15 +135,24 @@ let run ?(jobs = 2) ?on_ready listen registry =
   in
   let rec accept_loop () =
     if not (Atomic.get pool.stop) then begin
-      match Unix.accept lfd with
-      | fd, _ ->
-        if Atomic.get pool.stop then (try Unix.close fd with _ -> ())
-        else if jobs <= 0 then begin
-          if handle_conn registry fd then Atomic.set pool.stop true
-        end
-        else push pool fd;
-        accept_loop ()
+      match Unix.select [ lfd; wake_r ] [] [] (-1.) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+      | ready, _, _ ->
+        if List.mem lfd ready && not (Atomic.get pool.stop) then begin
+          match Unix.accept ~cloexec:true lfd with
+          | fd, _ ->
+            Unix.clear_nonblock fd;
+            if jobs <= 0 then begin
+              if handle_conn registry fd then Atomic.set pool.stop true
+            end
+            else push pool fd
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
+            ->
+            (* the pending connection went away before we took it *)
+            ()
+        end;
+        accept_loop ()
     end
   in
   accept_loop ();
@@ -156,7 +161,7 @@ let run ?(jobs = 2) ?on_ready listen registry =
   Condition.broadcast pool.nonempty;
   Mutex.unlock pool.m;
   List.iter Domain.join domains;
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ lfd; wake_r; wake_w ];
   match listen with
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ()

@@ -16,13 +16,27 @@ type error_code =
   | Budget
   | Internal
 
+type rows = { count : int; json : string }
+
+let rows l =
+  { count = List.length l; json = J.arr_inline (List.map (fun row -> J.arr_inline (List.map J.str row)) l) }
+
+(* an answers array as string rows; [None] unless every row is an array
+   of strings *)
+let string_rows items =
+  let all f l =
+    let l' = List.filter_map f l in
+    if List.compare_lengths l l' = 0 then Some l' else None
+  in
+  all (fun r -> Option.bind (Json.to_list r) (all (function Json.Str s -> Some s | _ -> None))) items
+
+let rows_list r =
+  match Option.bind (Result.to_option (Json.parse r.json)) Json.to_list with
+  | Some items -> Option.get (string_rows items)
+  | None -> invalid_arg "Protocol.rows_list: not a row array"
+
 type response =
-  | Answers of {
-      epoch : int;
-      cache_hit : bool;
-      answers : string list list;
-      time_s : float;
-    }
+  | Answers of { epoch : int; cache_hit : bool; answers : rows; time_s : float }
   | Committed of { epoch : int; ops : int; time_s : float }
   | Stats_reply of (string * string) list
   | Shutdown_ack
@@ -128,10 +142,8 @@ let encode_response = function
         J.field "kind" (J.str "answers");
         J.field "epoch" (string_of_int epoch);
         J.field "cache" (J.str (if cache_hit then "hit" else "miss"));
-        J.field "n" (string_of_int (List.length answers));
-        J.field "answers"
-          (J.arr_inline
-             (List.map (fun row -> J.arr_inline (List.map J.str row)) answers));
+        J.field "n" (string_of_int answers.count);
+        J.field "answers" answers.json;
         J.field "time_s" (Printf.sprintf "%.6f" time_s);
       ]
   | Committed { epoch; ops; time_s } ->
@@ -198,29 +210,10 @@ let decode_response line =
         match
           let* epoch = Option.bind (Json.member "epoch" v) Json.to_int in
           let* cache = Option.bind (Json.member "cache" v) Json.to_string in
-          let* rows = Option.bind (Json.member "answers" v) Json.to_list in
+          let* items = Option.bind (Json.member "answers" v) Json.to_list in
           let* time_s = Option.bind (Json.member "time_s" v) to_float in
-          let row_strings r =
-            let* items = Json.to_list r in
-            let rec go acc = function
-              | [] -> Some (List.rev acc)
-              | Json.Str s :: rest -> go (s :: acc) rest
-              | _ -> None
-            in
-            match go [] items with Some l -> Ok l | None -> Result.Error line
-          in
-          let rec rows_go acc = function
-            | [] -> Ok (List.rev acc)
-            | r :: rest -> (
-              match row_strings r with
-              | Ok row -> rows_go (row :: acc) rest
-              | Result.Error _ as e -> e)
-          in
-          match rows_go [] rows with
-          | Ok answers ->
-            Ok
-              (Answers { epoch; cache_hit = cache = "hit"; answers; time_s })
-          | Result.Error _ as e -> e
+          let* answers = string_rows items in
+          Ok (Answers { epoch; cache_hit = cache = "hit"; answers = rows answers; time_s })
         with
         | Ok _ as r -> r
         | Result.Error _ -> fail "malformed answers response")

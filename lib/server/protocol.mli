@@ -33,15 +33,20 @@ type error_code =
   | Budget  (** admission control: evaluation budget exhausted *)
   | Internal
 
+type rows = private { count : int; json : string }
+(** An answer set ready for the wire: the number of rows and their JSON
+    rendering [\[\["a", "b"\], ...\]], each component printed in Datalog
+    concrete syntax.  The server renders a set once and sends the same
+    string on every cache hit. *)
+
+val rows : string list list -> rows
+(** Render rows, in the given order. *)
+
+val rows_list : rows -> string list list
+(** The rows back as strings. *)
+
 type response =
-  | Answers of {
-      epoch : int;
-      cache_hit : bool;
-      answers : string list list;
-          (** one row per answer, each component printed in Datalog
-              concrete syntax *)
-      time_s : float;
-    }
+  | Answers of { epoch : int; cache_hit : bool; answers : rows; time_s : float }
   | Committed of { epoch : int; ops : int; time_s : float }
   | Stats_reply of (string * string) list
       (** field name paired with its already-JSON-encoded value *)

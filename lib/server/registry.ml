@@ -21,18 +21,17 @@ type counters = {
   mutable maint_firings : int;
 }
 
-(* One cached answer set, remembering enough of its projection to be
-   repaired in place: the backing answer predicate, the atom its tuples
-   are matched against, and the index-stripping/constant-restoring
-   shape of the rewriting (trivial under [Original]). *)
-type entry = {
-  e_pred : Symbol.t;
-  e_match : Atom.t;
-  e_index_fields : int;
-  e_restore : (int * Term.t) list;
-  mutable e_epoch : int;
-  mutable e_rows : string list list;
-}
+(* How a query's answer rows are read off the maintained state: the
+   atom matched against the answer predicate ([Rewritten.query], or the
+   query itself under [Original]) and the index-stripping/constant-
+   restoring shape of the rewriting (trivial under [Original]). *)
+type shape = { s_match : Atom.t; s_index_fields : int; s_restore : (int * Term.t) list }
+
+let pred_of s = Atom.symbol s.s_match
+
+(* One cached answer set, rendered once for the wire, with the shape
+   it was projected through so a repair can re-project it. *)
+type entry = { e_shape : shape; mutable e_epoch : int; mutable e_rows : Protocol.rows }
 
 type t = {
   lock : Rwlock.t;
@@ -48,6 +47,11 @@ type t = {
          lock, and only after the maintenance transaction succeeded. *)
   mutable snapshot : Engine.Snapshot.t;  (* published under the write lock *)
   mutable epoch : int;
+  mutable served : Atom.t list;
+      (* one answer atom per (predicate, ground positions) served so
+         far: the index patterns {!Engine.Snapshot.select} probes.  The
+         writer prepares them under the write lock — readers must never
+         build an index — and again on every rebuild. *)
   program : Program.t;
   derived : Symbol.Set.t;  (* of [program]: client txns may not touch these *)
   query0 : Atom.t;
@@ -103,6 +107,22 @@ let maintained_program session =
   | Some rw -> rw.C.Rewritten.program
   | None -> Incr.Session.program session
 
+let same_pattern (a : Atom.t) (b : Atom.t) =
+  Symbol.equal (Atom.symbol a) (Atom.symbol b)
+  && List.equal (fun x y -> Term.is_ground x = Term.is_ground y) a.Atom.args b.Atom.args
+
+(* make sure the index a read of [a] probes exists; readers never
+   build one, so this runs under the write lock or before the first
+   publication *)
+let prepare db (a : Atom.t) =
+  Engine.Relation.prepare (Engine.Database.relation db (Atom.symbol a)) a.Atom.args
+
+(* under the write lock: prepare [a], and remember its pattern for
+   rebuilds *)
+let prepare_locked t (a : Atom.t) =
+  prepare (Incr.Session.db t.session) a;
+  if not (List.exists (same_pattern a) t.served) then t.served <- a :: t.served
+
 let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     ?(cache_mode = Partial) ?db ?checkpoint_every program query ~edb =
   let store =
@@ -130,6 +150,12 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
       (fun s -> ignore (Engine.Database.add_fact shadow s))
       rw.C.Rewritten.seeds
   | None -> ());
+  (* no reader exists yet: prepare the initial query's pattern before
+     the first publication *)
+  let answer_atom =
+    match Incr.Session.rewritten session with Some rw -> rw.C.Rewritten.query | None -> query
+  in
+  prepare (Incr.Session.db session) answer_atom;
   let epoch = 0 in
   {
     lock = Rwlock.create ();
@@ -138,6 +164,7 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     shadow;
     snapshot = Engine.Snapshot.capture ~epoch (Incr.Session.db session);
     epoch;
+    served = [ answer_atom ];
     program;
     derived = Program.derived program;
     query0 = query;
@@ -209,25 +236,18 @@ let valid_from_locked t pred =
 let cache_find t key =
   locked t.cache_m (fun () ->
       match Hashtbl.find_opt t.cache key with
-      | Some e when e.e_epoch >= valid_from_locked t e.e_pred ->
+      | Some e when e.e_epoch >= valid_from_locked t (pred_of e.e_shape) ->
         Some (e.e_epoch, e.e_rows)
       | _ -> None)
 
-let cache_store t key ~pred ~match_atom ~index_fields ~restore ep rows =
+let cache_store t key shape ep rows =
+  let pred = pred_of shape in
   locked t.cache_m (fun () ->
       ignore (footprint_locked t pred);
       (* a commit may have invalidated [pred] while we computed against
          the older snapshot: never re-insert a stale entry *)
       if ep >= valid_from_locked t pred then
-        Hashtbl.replace t.cache key
-          {
-            e_pred = pred;
-            e_match = match_atom;
-            e_index_fields = index_fields;
-            e_restore = restore;
-            e_epoch = ep;
-            e_rows = rows;
-          })
+        Hashtbl.replace t.cache key { e_shape = shape; e_epoch = ep; e_rows = rows })
 
 let full_invalidate_locked t new_epoch =
   (* under [cache_m] *)
@@ -236,41 +256,23 @@ let full_invalidate_locked t new_epoch =
   Symbol.Tbl.reset t.valid_from;
   t.c.full_invalidations <- t.c.full_invalidations + 1
 
-(* ---- answer projection from a snapshot, mirroring
-   [Rewritten.answers] without interning any tuple (the read path must
-   not write to the shared pools) ---- *)
+(* ---- answer projection: the shared selector, read from a snapshot
+   (an index probe when the writer prepared the pattern), rendered once
+   for the wire ---- *)
 
-let rec drop n xs =
-  if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r
+let render snap s =
+  let rows = ref [] in
+  Engine.Snapshot.select snap s.s_match (fun tu ->
+      let row = C.Rewritten.answer_row ~index_fields:s.s_index_fields ~restore:s.s_restore tu in
+      rows := List.map Term.to_string row :: !rows);
+  Protocol.rows (List.sort_uniq (List.compare String.compare) !rows)
 
-let weave restore args =
-  if restore = [] then args
-  else begin
-    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) restore in
-    let rec go pos ins rest =
-      match ins with
-      | (p, c) :: ins' when p = pos -> c :: go (pos + 1) ins' rest
-      | _ -> begin
-        match rest with
-        | [] -> List.map snd ins
-        | x :: rest' -> x :: go (pos + 1) ins rest'
-      end
-    in
-    go 0 sorted args
-  end
-
-let row_of_tuple ~index_fields ~restore tu =
-  let args = drop index_fields (Engine.Tuple.to_list tu) in
-  List.map Term.to_string (weave restore args)
-
-let project_rows snap ~query ~index_fields ~restore =
-  let tuples = Engine.Snapshot.matching snap query in
-  let rows = List.map (row_of_tuple ~index_fields ~restore) tuples in
-  List.sort_uniq (List.compare String.compare) rows
-
-let rows_for_rewritten snap (rw : C.Rewritten.t) =
-  project_rows snap ~query:rw.C.Rewritten.query
-    ~index_fields:rw.C.Rewritten.index_fields ~restore:rw.C.Rewritten.restore
+let shape_of_rewritten (rw : C.Rewritten.t) =
+  {
+    s_match = rw.C.Rewritten.query;
+    s_index_fields = rw.C.Rewritten.index_fields;
+    s_restore = rw.C.Rewritten.restore;
+  }
 
 (* ---- partial invalidation and in-place repair ----
 
@@ -280,32 +282,19 @@ let rows_for_rewritten snap (rw : C.Rewritten.t) =
    epoch advanced.  An entry whose footprint intersects is normally
    evicted — but when the transaction deleted nothing and the entry's
    footprint is negation-free, every consequence of the transaction is
-   monotone, so the entry's rows after the commit are its rows before
-   plus the projection of the answer predicate's maintained insertions:
-   we append those (the counting/DRed passes computed them anyway) and
-   keep the entry hot. *)
+   monotone: the entry's answer relation only gained tuples, all with
+   stamps at or above the [before] snapshot's watermark.  If any of
+   those matches the entry, it is re-projected from the new snapshot
+   (under the write lock, where the index it probes exists); either way
+   it stays hot. *)
 
-let repair_entry e added new_epoch =
-  let extra =
-    List.filter_map
-      (fun tu ->
-        match
-          Subst.match_list e.e_match.Atom.args (Engine.Tuple.to_list tu)
-            Subst.empty
-        with
-        | Some _ ->
-          Some
-            (row_of_tuple ~index_fields:e.e_index_fields ~restore:e.e_restore tu)
-        | None -> None)
-      added
-  in
-  if extra <> [] then
-    e.e_rows <-
-      List.sort_uniq (List.compare String.compare)
-        (List.rev_append extra e.e_rows);
+let repair_entry t ~before e new_epoch =
+  let gained = ref false in
+  Engine.Snapshot.select t.snapshot ~since:before e.e_shape.s_match (fun _ -> gained := true);
+  if !gained then e.e_rows <- render t.snapshot e.e_shape;
   e.e_epoch <- new_epoch
 
-let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
+let apply_summary_locked t ~before new_epoch (summary : Incr.Maintain.summary) =
   (* under [cache_m] *)
   match t.cache_mode with
   | Full -> full_invalidate_locked t new_epoch
@@ -314,15 +303,6 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
     if Symbol.Set.is_empty touched then ()
     else begin
       let repairable = not (Incr.Maintain.has_deletions summary) in
-      let added_of pred =
-        match
-          List.find_opt
-            (fun (d : Incr.Maintain.delta) -> Symbol.equal d.d_pred pred)
-            summary
-        with
-        | None -> Some []  (* untouched answer relation: rows unchanged *)
-        | Some d -> d.Incr.Maintain.d_added  (* None above the cap *)
-      in
       (* watermarks first: every predicate a reader may be computing
          right now, cached entry or not *)
       Symbol.Tbl.iter
@@ -333,16 +313,13 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
       let evict = ref [] in
       Hashtbl.iter
         (fun key e ->
-          let fp = footprint_locked t e.e_pred in
+          let fp = footprint_locked t (pred_of e.e_shape) in
           if not (Footprint.intersects fp touched) then
             (* untouched footprint: rows invariant under this commit *)
             e.e_epoch <- new_epoch
           else if repairable && Footprint.neg_free fp then begin
-            match added_of e.e_pred with
-            | Some added ->
-              repair_entry e added new_epoch;
-              t.c.cache_repairs <- t.c.cache_repairs + 1
-            | None -> evict := key :: !evict
+            repair_entry t ~before e new_epoch;
+            t.c.cache_repairs <- t.c.cache_repairs + 1
           end
           else evict := key :: !evict)
         t.cache;
@@ -352,6 +329,9 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
     end
 
 let same_program p1 p2 = List.equal Rule.equal (Program.rules p1) (Program.rules p2)
+
+let publish_locked t =
+  t.snapshot <- Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session)
 
 let err code fmt = Fmt.kstr (fun message -> Protocol.Error { code; message }) fmt
 
@@ -380,7 +360,10 @@ let rebuild t =
     t.session <-
       Incr.Session.create ~strategy:t.strategy ~options:t.options t.program
         t.query0 ~edb);
-  t.snapshot <- Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session);
+  (* a fresh session has fresh relations: prepare every served pattern
+     again before readers see it *)
+  List.iter (prepare_locked t) t.served;
+  publish_locked t;
   with_c t (fun c -> c.rebuilds <- c.rebuilds + 1)
 
 let op_atom = function Incr.Maintain.Insert a | Incr.Maintain.Delete a -> a
@@ -415,12 +398,12 @@ let transact t ops =
             | Incr.Maintain.Delete a ->
               ignore (Engine.Database.remove_fact t.shadow a))
           ops;
+        let before = t.snapshot in
         t.epoch <- t.epoch + 1;
-        t.snapshot <-
-          Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session);
+        publish_locked t;
         absorb_maint t stats;
         locked t.cache_m (fun () ->
-            apply_summary_locked t t.epoch summary;
+            apply_summary_locked t ~before t.epoch summary;
             t.c.txns <- t.c.txns + 1;
             t.c.txn_ops <- t.c.txn_ops + List.length ops);
         Protocol.Committed
@@ -438,22 +421,23 @@ let transact t ops =
         rebuild t;
         count_error t (err Protocol.Bad_request "%s" msg))
 
-let install_seeds t q =
+(* [rw] is the query's rewrite, already checked against the session's
+   program under the read lock; a rebuild in between re-creates the same
+   program, so the session need not rewrite or compare again *)
+let install_seeds t q rw =
   Rwlock.with_write t.lock (fun () ->
-      match Incr.Session.query_delta ?max_facts:t.max_facts t.session q with
-      | _answers, stats, summary ->
+      match Incr.Session.query_delta ?max_facts:t.max_facts ~rewritten:rw t.session q with
+      | installed, stats, summary ->
         (* an install that changed nothing needs no journal record *)
-        if summary <> [] then
+        if installed > 0 then
           Option.iter (fun st -> Persist.Store.journal_install st q) t.store;
-        (match Incr.Session.rewritten t.session with
-        | Some rw ->
-          List.iter
-            (fun s -> ignore (Engine.Database.add_fact t.shadow s))
-            rw.C.Rewritten.seeds
-        | None -> ());
+        List.iter
+          (fun s -> ignore (Engine.Database.add_fact t.shadow s))
+          rw.C.Rewritten.seeds;
+        prepare_locked t rw.C.Rewritten.query;
+        let before = t.snapshot in
         t.epoch <- t.epoch + 1;
-        t.snapshot <-
-          Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session);
+        publish_locked t;
         absorb_maint t stats;
         locked t.cache_m (fun () ->
             t.c.seed_installs <- t.c.seed_installs + 1;
@@ -464,10 +448,8 @@ let install_seeds t q =
                run the selective pass (entries whose footprint avoids
                the install, or is negation-free over an insert-only
                summary, still survive). *)
-            if not t.monotone then apply_summary_locked t t.epoch summary);
+            if not t.monotone then apply_summary_locked t ~before t.epoch summary);
         Ok ()
-      | exception Incr.Session.Incompatible_query msg ->
-        Error (err Protocol.Incompatible "%s" msg)
       | exception Incr.Maintain.Budget_exhausted ->
         rebuild t;
         Error
@@ -495,15 +477,13 @@ let query t q =
     match t.strategy with
     | Original | Auto ->
       (* full materialization: every predicate is in the snapshot *)
-      let pred = Atom.symbol q in
-      register_pred t pred;
+      let shape = { s_match = q; s_index_fields = 0; s_restore = [] } in
+      register_pred t (Atom.symbol q);
       let ep, rows =
         Rwlock.with_read t.lock (fun () ->
-            let snap = t.snapshot in
-            ( Engine.Snapshot.epoch snap,
-              project_rows snap ~query:q ~index_fields:0 ~restore:[] ))
+            (Engine.Snapshot.epoch t.snapshot, render t.snapshot shape))
       in
-      cache_store t key ~pred ~match_atom:q ~index_fields:0 ~restore:[] ep rows;
+      cache_store t key shape ep rows;
       answers_response ~t0 ~cache_hit:false ep rows
     | GMS | GSMS -> (
       (* the rewrite is purely symbolic: do it outside any lock *)
@@ -520,8 +500,8 @@ let query t q =
           (err Protocol.Parse_error "cannot rewrite %a: %s" Atom.pp q
              (Printexc.to_string e))
       | rw' -> (
-        let pred = Atom.symbol rw'.C.Rewritten.query in
-        register_pred t pred;
+        let shape = shape_of_rewritten rw' in
+        register_pred t (pred_of shape);
         let read () =
           Rwlock.with_read t.lock (fun () ->
               let snap = t.snapshot in
@@ -533,13 +513,11 @@ let query t q =
               then `Incompatible
               else if
                 List.for_all (Engine.Snapshot.mem snap) rw'.C.Rewritten.seeds
-              then `Rows (Engine.Snapshot.epoch snap, rows_for_rewritten snap rw')
+              then `Rows (Engine.Snapshot.epoch snap, render snap shape)
               else `Install)
         in
         let finish ep rows =
-          cache_store t key ~pred ~match_atom:rw'.C.Rewritten.query
-            ~index_fields:rw'.C.Rewritten.index_fields
-            ~restore:rw'.C.Rewritten.restore ep rows;
+          cache_store t key shape ep rows;
           answers_response ~t0 ~cache_hit:false ep rows
         in
         match read () with
@@ -553,7 +531,7 @@ let query t q =
         | `Install -> (
           (* dynamic magic sets: grow the cone, then serve from the
              republished snapshot *)
-          match install_seeds t q with
+          match install_seeds t q rw' with
           | Error resp -> count_error t resp
           | Ok () -> (
             match read () with
@@ -627,12 +605,13 @@ let close t =
    and inspect what the cache currently holds for an atom *)
 module Internal = struct
   let store_projection t q ~epoch ~rows =
-    cache_store t (cache_key q) ~pred:(Atom.symbol q) ~match_atom:q
-      ~index_fields:0 ~restore:[] epoch rows
+    cache_store t (cache_key q)
+      { s_match = q; s_index_fields = 0; s_restore = [] }
+      epoch (Protocol.rows rows)
 
   let peek t q =
     locked t.cache_m (fun () ->
         match Hashtbl.find_opt t.cache (cache_key q) with
-        | Some e -> Some (e.e_epoch, e.e_rows)
+        | Some e -> Some (e.e_epoch, Protocol.rows_list e.e_rows)
         | None -> None)
 end

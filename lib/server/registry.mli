@@ -12,15 +12,24 @@
     computed against exactly one committed epoch — never a half-applied
     transaction.
 
+    {b Reads.}  A cold read projects its answers from the snapshot with
+    {!Engine.Snapshot.select}: an index probe, O(answers), because the
+    writer prepared the index for the query's binding pattern under the
+    write lock — at create, at every seed install and at every rebuild.
+    Readers never build an index.
+
     {b Cache.}  Keyed by the query atom normalized up to variable
-    renaming; each entry carries the answer predicate backing it.  In
+    renaming; each entry carries the answer predicate backing it and its
+    rows rendered once for the wire ({!Protocol.rows}), so a hit costs
+    no encoding.  In
     the default [Partial] mode a committed transaction is applied to
     the cache through its {!Incr.Maintain.summary}: entries whose
     dependency footprint ({!Analysis.Footprint}) is disjoint from the
     touched relations survive unchanged; entries with an intersecting,
     negation-free footprint survive an insert-only transaction by
-    {e repair} — the maintained insertions of their answer predicate
-    are projected and appended in place; everything else is evicted.
+    {e repair} — when their answer predicate gained matching tuples,
+    they are re-projected from the new snapshot under the write lock;
+    everything else is evicted.
     In [Full] mode (the pre-partial behavior, kept for differential
     testing) every transaction clears the whole cache.
 

@@ -111,6 +111,106 @@ let prop_index_coherent_under_removal =
         (fun k -> coherent [| true; false |] 0 k && coherent [| false; true |] 1 k)
         [ 0; 1; 2; 3; 4; 5 ])
 
+(* ---- the shared selector: the indexed path, the scan path and a
+   filtered log scan must agree on random relations ---- *)
+
+let sel_value i = if i = 5 then Term.App ("f", [ Term.Sym "n1" ]) else Term.Sym (Fmt.str "n%d" i)
+
+(* argument choices: interned constants, one never-interned constant,
+   variables (repeats allowed) and a non-ground compound *)
+let sel_arg = function
+  | (0 | 1 | 2 | 3 | 4 | 5) as i -> sel_value i
+  | 6 -> Term.Sym "never_interned_by_any_test"
+  | 7 -> Term.Var "X"
+  | 8 -> Term.Var "Y"
+  | _ -> Term.App ("f", [ Term.Var "X" ])
+
+let prop_select_indexed_is_scan =
+  let open QCheck2.Gen in
+  let gen_tuple = triple (int_bound 5) (int_bound 5) (int_bound 5) in
+  let gen_ops = list_size (int_range 0 40) (pair bool gen_tuple) in
+  let gen_args = triple (int_bound 9) (int_bound 9) (int_bound 9) in
+  qtest ~count:300 "select: indexed = scan = filtered log"
+    (quad gen_ops gen_args (int_bound 50) (int_bound 50))
+    (fun (ops, (a, b, c), lo, hi) ->
+      let args = List.map sel_arg [ a; b; c ] in
+      let build ~indexed =
+        let r = Engine.Relation.create 3 in
+        if indexed then Engine.Relation.prepare r args;
+        List.iter
+          (fun (add, (x, y, z)) ->
+            let t = Engine.Tuple.of_list (List.map sel_value [ x; y; z ]) in
+            ignore (if add then Engine.Relation.add r t else Engine.Relation.remove r t))
+          ops;
+        r
+      in
+      let with_index = build ~indexed:true and without = build ~indexed:false in
+      let lo = min lo hi and hi = max lo hi in
+      let select r =
+        let acc = ref [] in
+        Engine.Relation.select r ~lo ~hi args (fun t -> acc := t :: !acc);
+        List.sort Engine.Tuple.compare !acc
+      in
+      let reference =
+        let acc = ref [] in
+        Engine.Relation.iter_in without ~lo ~hi (fun t ->
+            if Option.is_some (Subst.match_list args (Engine.Tuple.to_list t) Subst.empty)
+            then acc := t :: !acc);
+        List.sort Engine.Tuple.compare !acc
+      in
+      select with_index = reference
+      && select without = reference
+      && Engine.Relation.indexed without = [])
+
+(* a callback that inserts into and removes from the relation it is
+   traversing sees the bucket as it was when the traversal started *)
+let test_traversal_snapshot () =
+  let r = Engine.Relation.create 2 in
+  let row i = tup [ "k"; Fmt.str "v%d" i ] in
+  List.iter (fun i -> ignore (Engine.Relation.add r (row i))) [ 0; 1; 2; 3 ];
+  let key = tup [ "k" ] in
+  let check name traverse =
+    let seen = ref [] in
+    let first = ref true in
+    traverse (fun t ->
+        seen := t :: !seen;
+        if !first then begin
+          first := false;
+          List.iter (fun i -> ignore (Engine.Relation.add r (row i))) [ 10; 11; 12; 13; 14 ];
+          (* one visited, one not yet visited: both stay in the view *)
+          ignore (Engine.Relation.remove r t);
+          ignore (Engine.Relation.remove r (row 0))
+        end);
+    Alcotest.check tuple_list name
+      (List.sort Engine.Tuple.compare (List.map row [ 0; 1; 2; 3 ]))
+      (List.sort Engine.Tuple.compare !seen)
+  in
+  check "iter_matching" (Engine.Relation.iter_matching r ~pattern:[| true; false |] ~key);
+  (* restore the four rows, dropping the inserted ones *)
+  List.iter (fun i -> ignore (Engine.Relation.remove r (row i))) [ 10; 11; 12; 13; 14 ];
+  List.iter (fun i -> ignore (Engine.Relation.add r (row i))) [ 0; 1; 2; 3 ];
+  (* the index iter_matching built is the one select probes *)
+  check "select" (Engine.Relation.select r [ Term.Sym "k"; Term.Var "V" ])
+
+(* snapshot reads probe what the writer prepared and never build an
+   index themselves *)
+let test_snapshot_reads_build_no_index () =
+  let db = Engine.Database.of_facts [ atom "p(a, b)"; atom "p(a, c)"; atom "p(b, c)" ] in
+  let rel = Option.get (Engine.Database.find db (Symbol.make "p" 2)) in
+  let snap = Engine.Snapshot.capture ~epoch:0 db in
+  let read () =
+    ignore (Engine.Snapshot.mem snap (atom "p(a, b)"));
+    List.length (Engine.Snapshot.matching snap (atom "p(a, X)"))
+    + List.length (Engine.Snapshot.matching snap (atom "p(X, c)"))
+    + List.length (Engine.Snapshot.matching snap (atom "p(X, X)"))
+  in
+  Alcotest.(check int) "scanned answers" 4 (read ());
+  Alcotest.(check int) "no index built" 0 (List.length (Engine.Relation.indexed rel));
+  Engine.Relation.prepare rel [ Term.Sym "a"; Term.Var "X" ];
+  Alcotest.(check int) "probed answers" 4 (read ());
+  Alcotest.(check (list (array bool))) "only the prepared index" [ [| true; false |] ]
+    (Engine.Relation.indexed rel)
+
 let test_remove () =
   let r = Engine.Relation.create 2 in
   ignore (Engine.Relation.add r (tup [ "a"; "b" ]));
@@ -193,4 +293,7 @@ let suite =
     Alcotest.test_case "copy after remove" `Quick test_remove_copy;
     Alcotest.test_case "database" `Quick test_database;
     Alcotest.test_case "database arith" `Quick test_database_arith_normalized;
+    prop_select_indexed_is_scan;
+    Alcotest.test_case "traversal sees a snapshot" `Quick test_traversal_snapshot;
+    Alcotest.test_case "snapshot reads build no index" `Quick test_snapshot_reads_build_no_index;
   ]

@@ -60,10 +60,10 @@ let test_response_roundtrip () =
         {
           epoch = 3;
           cache_hit = true;
-          answers = [ [ "a"; "b" ]; [ "c" ] ];
+          answers = P.rows [ [ "a"; "b" ]; [ "c" ] ];
           time_s = 0.25;
         };
-      P.Answers { epoch = 0; cache_hit = false; answers = []; time_s = 0.5 };
+      P.Answers { epoch = 0; cache_hit = false; answers = P.rows []; time_s = 0.5 };
       P.Committed { epoch = 1; ops = 2; time_s = 0.125 };
       P.Shutdown_ack;
       P.Error { code = P.Budget; message = "over budget" };
@@ -140,6 +140,7 @@ let test_registry_cache () =
   (* first read misses, second hits — up to variable renaming *)
   (match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { epoch = 0; cache_hit = false; answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "warm answers"
       [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
       answers
@@ -151,6 +152,7 @@ let test_registry_cache () =
      the cache survives (the maintained program is monotone) *)
   (match Server.Registry.query r (path_q (Term.Sym "m0")) with
   | P.Answers { epoch = 1; cache_hit = false; answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "installed cone answers" [ [ "m0"; "m1" ] ] answers
   | _ -> Alcotest.fail "expected a seed install bumping the epoch");
   (match Server.Registry.query r (path_q (n 0)) with
@@ -165,6 +167,7 @@ let test_registry_cache () =
   | _ -> Alcotest.fail "expected a commit at epoch 2");
   (match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { epoch = 2; cache_hit = true; answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "repaired answers"
       [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ]; [ "n0"; "n4" ] ]
       answers
@@ -176,6 +179,7 @@ let test_registry_cache () =
   | _ -> Alcotest.fail "expected a commit at epoch 3");
   (match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { epoch = 3; cache_hit = false; answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "post-delete answers"
       [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
       answers
@@ -228,7 +232,7 @@ let test_registry_stale_store_fenced () =
   in
   let stale =
     match Server.Registry.query r (path_q (n 0)) with
-    | P.Answers { answers; _ } -> answers
+    | P.Answers { answers; _ } -> P.rows_list answers
     | _ -> Alcotest.fail "warm query"
   in
   (match Server.Registry.transact r [ M.Insert (edge (n 3) (n 4)) ] with
@@ -243,6 +247,7 @@ let test_registry_stale_store_fenced () =
   | None -> Alcotest.fail "repaired entry must still be cached");
   (match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { cache_hit = true; answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "served rows include the new edge"
       [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ]; [ "n0"; "n4" ] ]
       answers
@@ -254,6 +259,7 @@ let test_registry_stale_store_fenced () =
     ~rows:[ [ "u0"; "u1" ] ];
   match Server.Registry.query r reach_q with
   | P.Answers { cache_hit = true; answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "untouched-predicate store accepted" [ [ "u0"; "u1" ] ]
       answers
   | _ -> Alcotest.fail "untouched-predicate entry must hit"
@@ -270,6 +276,7 @@ let test_registry_rejects_derived_op () =
   (* the daemon state survives the refused transaction *)
   match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { answers; _ } ->
+    let answers = P.rows_list answers in
     Alcotest.check rows "state intact"
       [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
       answers
@@ -288,7 +295,7 @@ let test_registry_budget_recovery () =
   in
   let before =
     match Server.Registry.query r (path_q (n 0)) with
-    | P.Answers { answers; _ } -> answers
+    | P.Answers { answers; _ } -> P.rows_list answers
     | _ -> Alcotest.fail "warm query"
   in
   (* bridging the cone into the long chain derives quadratically many
@@ -300,7 +307,8 @@ let test_registry_budget_recovery () =
   (* the rebuilt session still serves the last committed state *)
   Alcotest.(check int) "epoch unchanged" 0 (Server.Registry.epoch r);
   (match Server.Registry.query r (path_q (n 0)) with
-  | P.Answers { answers; _ } -> Alcotest.check rows "state rolled back" before answers
+  | P.Answers { answers; _ } ->
+    Alcotest.check rows "state rolled back" before (P.rows_list answers)
   | _ -> Alcotest.fail "query after rollback");
   (* and affordable transactions keep working *)
   match Server.Registry.transact r [ M.Insert (edge (Term.Sym "x0") (Term.Sym "x1")) ] with
@@ -362,6 +370,105 @@ let with_daemon r f =
   Server.Registry.close r;
   out
 
+(* many installed keys: every read stays exact against the reference
+   engine — after 2000 other keys' seeds are installed, after an insert
+   commit that grows the key's cone (the cached entry is re-projected in
+   place and still hits), and after a delete commit (evicted, recomputed) *)
+let test_registry_many_keys () =
+  let p = program tc_src in
+  let sym fmt = Fmt.kstr (fun s -> Term.Sym s) fmt in
+  let key i = sym "k%d" i and head c = sym "c%d_0" c in
+  let chains =
+    List.concat_map (fun c -> List.init 4 (fun j -> edge (sym "c%d_%d" c j) (sym "c%d_%d" c (j + 1))))
+      (List.init 10 Fun.id)
+  in
+  let facts = ref (chains @ List.init 2001 (fun i -> edge (key i) (head (i mod 10)))) in
+  let reference q = reference_rows p q (Engine.Database.of_facts !facts) in
+  let r =
+    Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (key 0))
+      ~edb:(Engine.Database.of_facts !facts)
+  in
+  let read q =
+    match Server.Registry.query r q with
+    | P.Answers { cache_hit; answers; _ } -> (cache_hit, P.rows_list answers)
+    | _ -> Alcotest.failf "read of %a failed" Atom.pp q
+  in
+  let check_exact name q =
+    let _, got = read q in
+    Alcotest.check rows name (reference q) got
+  in
+  check_exact "first key" (path_q (key 0));
+  for i = 1 to 2000 do
+    ignore (read (path_q (key i)))
+  done;
+  check_exact "first key after 2000 installs" (path_q (key 0));
+  check_exact "a middle key" (path_q (key 1000));
+  check_exact "the last key" (path_q (key 2000));
+  (* grow key 0's cone past its chain's tail *)
+  let grow = edge (sym "c0_4") (sym "fresh") in
+  (match Server.Registry.transact r [ M.Insert grow ] with
+  | P.Committed _ -> facts := grow :: !facts
+  | _ -> Alcotest.fail "insert commit");
+  let hit, got = read (path_q (key 0)) in
+  Alcotest.(check bool) "repaired entry still hits" true hit;
+  Alcotest.check rows "repaired entry re-projected" (reference (path_q (key 0))) got;
+  Alcotest.(check bool) "repair gained the new row" true (List.mem [ "k0"; "fresh" ] got);
+  (* cut key 0's chain: the entry cannot be repaired *)
+  let cut = edge (sym "c0_1") (sym "c0_2") in
+  (match Server.Registry.transact r [ M.Delete cut ] with
+  | P.Committed _ -> facts := List.filter (fun a -> not (Atom.equal a cut)) !facts
+  | _ -> Alcotest.fail "delete commit");
+  let hit, got = read (path_q (key 0)) in
+  Alcotest.(check bool) "deleting commit evicts" false hit;
+  Alcotest.check rows "recomputed after the delete" (reference (path_q (key 0))) got;
+  check_exact "an unrelated key after both commits" (path_q (key 7))
+
+(* a server that accepts the connection and never answers: the client's
+   read deadline fails the request instead of blocking *)
+let test_client_read_deadline () =
+  let path = Filename.temp_file "magic-silent" ".sock" in
+  Sys.remove path;
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let c = Server.Client.unix ~timeout:0.2 path in
+  let conn, _ = Unix.accept lfd in
+  (* watchdog: should the deadline not fire, hang up after 5s so the
+     test fails instead of hanging *)
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 5. do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then Unix.shutdown conn Unix.SHUTDOWN_ALL)
+  in
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    match Server.Client.request c P.Stats with
+    | _ -> Error "a silent server produced a reply"
+    | exception Failure msg -> Ok msg
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Atomic.set finished true;
+  Domain.join watchdog;
+  Server.Client.close c;
+  Unix.close conn;
+  Unix.close lfd;
+  Sys.remove path;
+  match outcome with
+  | Error e -> Alcotest.fail e
+  | Ok msg ->
+    let mentions sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("deadline diagnostic: " ^ msg) true (mentions "within");
+    Alcotest.(check bool) (Fmt.str "failed within the deadline (%.2fs)" elapsed) true
+      (elapsed >= 0.15 && elapsed < 2.)
+
 let test_daemon_socket_roundtrip () =
   let p = program tc_src in
   let r =
@@ -371,6 +478,7 @@ let test_daemon_socket_roundtrip () =
   with_daemon r (fun _ c ->
       (match Server.Client.request c (P.Query (path_q (n 0))) with
       | P.Answers { answers; _ } ->
+        let answers = P.rows_list answers in
         Alcotest.check rows "served answers"
           [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
           answers
@@ -380,6 +488,7 @@ let test_daemon_socket_roundtrip () =
       | _ -> Alcotest.fail "txn over the socket");
       (match Server.Client.request c (P.Query (path_q (n 0))) with
       | P.Answers { epoch = 1; answers; _ } ->
+        let answers = P.rows_list answers in
         Alcotest.(check int) "post-txn count" 4 (List.length answers)
       | _ -> Alcotest.fail "re-read over the socket");
       match Server.Client.request c P.Stats with
@@ -405,6 +514,7 @@ let test_daemon_cycles () =
         let read c =
           match Server.Client.request c (P.Query (path_q (n 0))) with
           | P.Answers { answers; _ } ->
+            let answers = P.rows_list answers in
             Alcotest.(check int) (Fmt.str "cycle %d: answers" cycle) 3
               (List.length answers)
           | _ -> Alcotest.failf "cycle %d: query over the socket" cycle
@@ -452,6 +562,7 @@ let test_daemon_restart_durable () =
           | _ -> Alcotest.fail "txn in the first lifetime");
           match Server.Client.request c (P.Query (path_q (n 0))) with
           | P.Answers { answers; _ } ->
+            let answers = P.rows_list answers in
             Alcotest.(check int) "first-lifetime count" 4 (List.length answers)
           | _ -> Alcotest.fail "query in the first lifetime");
       (* second lifetime on the same directory: the edb argument is
@@ -466,6 +577,7 @@ let test_daemon_restart_durable () =
       with_daemon r2 (fun _ c ->
           (match Server.Client.request c (P.Query (path_q (n 0))) with
           | P.Answers { epoch = 0; answers; _ } ->
+            let answers = P.rows_list answers in
             Alcotest.check rows "state carried across restart"
               [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ]; [ "n0"; "n4" ] ]
               answers
@@ -513,6 +625,7 @@ let prop_serve_consistency =
           in
           match served with
           | P.Answers { answers; _ } ->
+            let answers = P.rows_list answers in
             answers
             = reference_rows p (path_q (n k)) (Engine.Database.copy mirror)
           | P.Error { message; _ } -> Alcotest.failf "read failed: %s" message
@@ -564,7 +677,7 @@ let prop_partial_equals_full =
       let rp = mk Server.Registry.Partial in
       let rf = mk Server.Registry.Full in
       let answers_of = function
-        | P.Answers { answers; _ } -> Some answers
+        | P.Answers { answers; _ } -> Some (P.rows_list answers)
         | _ -> None
       in
       List.for_all
@@ -611,6 +724,9 @@ let suite =
       test_registry_rejects_derived_op;
     Alcotest.test_case "registry: budget recovery" `Quick
       test_registry_budget_recovery;
+    Alcotest.test_case "registry: exact over 2000 installed keys" `Quick
+      test_registry_many_keys;
+    Alcotest.test_case "client: read deadline" `Quick test_client_read_deadline;
     Alcotest.test_case "daemon: socket roundtrip" `Quick
       test_daemon_socket_roundtrip;
     Alcotest.test_case "daemon: restart over a durable store" `Quick
