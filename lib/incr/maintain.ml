@@ -36,7 +36,6 @@ module Rel = Engine.Relation
 module Tup = Engine.Tuple
 module Plan = Engine.Plan
 module Stats = Engine.Stats
-module Solve = Engine.Solve
 
 type op = Insert of Atom.t | Delete of Atom.t
 
@@ -74,7 +73,17 @@ type mrule = {
 
 type kind = Counting | DRed
 
-type unit_ = { syms : Symbol.t list; kind : kind; rules : mrule list }
+(* One rule compiled for DRed's rederivation step: the rule with a
+   literal over a fresh [$want$] predicate, whose relation holds the
+   candidates still to be proven, and that literal's body position. *)
+type rederive = { want_lit : int; redo : Plan.instance }
+
+type unit_ = {
+  syms : Symbol.t list;
+  kind : kind;
+  rules : mrule list;
+  rederive : (Symbol.t * rederive) list;  (* DRed units only, keyed by head *)
+}
 
 (* The per-transaction repair state of one updated relation: its deleted
    tuples and the watermark separating carried-over stamps from inserted
@@ -82,7 +91,6 @@ type unit_ = { syms : Symbol.t list; kind : kind; rules : mrule list }
 type change = { dminus : Rel.t; w : int }
 
 type t = {
-  program : Program.t;
   db : Db.t;
   derived : Symbol.Set.t;
   units : unit_ list;
@@ -133,6 +141,42 @@ let compile_mrule rule =
          rule.Rule.body)
   in
   { rule; body; plan; neg_deltas }
+
+let rec has_arith = function
+  | Term.Add _ | Term.Mul _ | Term.Div _ -> true
+  | Term.App (_, xs) -> List.exists has_arith xs
+  | Term.Var _ | Term.Int _ | Term.Sym _ -> false
+
+(* "Does this rule still prove a candidate?" as a bound query over all
+   candidates at once: [head :- $want$p(head args), body], run from the
+   [$want$p] literal, so the candidate's bindings flow sideways into the
+   body and the greedy bound-first order probes indexes instead of
+   scanning.  A head with arithmetic cannot be matched against a tuple;
+   its rule becomes [head :- body, $want$p(head args)] in the rule's own
+   order, which enumerates the body and ends in a membership test of the
+   evaluated head. *)
+let compile_rederive rule =
+  let head = rule.Rule.head in
+  let want = Atom.make ("$want$" ^ head.Atom.pred) head.Atom.args in
+  let body = rule.Rule.body in
+  let redo =
+    if List.exists has_arith head.Atom.args then
+      let plan =
+        Plan.compile ~delta_preds:Symbol.Set.empty
+          (Rule.make head (body @ [ Rule.Pos want ]))
+      in
+      { want_lit = List.length body; redo = plan.Plan.base }
+    else
+      let plan =
+        Plan.compile
+          ~delta_preds:(Symbol.Set.singleton (Atom.symbol want))
+          (Rule.make head (Rule.Pos want :: body))
+      in
+      match plan.Plan.delta with
+      | [ (0, redo) ] -> { want_lit = 0; redo }
+      | _ -> assert false
+  in
+  (Atom.symbol head, redo)
 
 (* ------------------------------------------------------------------ *)
 (* Stamp-range views of the transaction's three relation versions      *)
@@ -328,41 +372,26 @@ let process_counting t ~stats ~changes ~ext_ops ~budget u =
 (* DRed maintenance (recursive units)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Does any rule for [sym] derive [tuple] in the database's current
-   state?  Used by the rederivation step; the head is matched against
-   the tuple first so the body runs with the query's bindings — the
-   bound-head check that makes rederivation a point lookup rather than
-   a scan. *)
-let derivable t sym tuple =
-  (match Symbol.Tbl.find_opt t.external_ sym with
-  | Some ext -> Rel.mem ext tuple
-  | None -> false)
-  || begin
-    let src _ s = Db.find t.db s in
-    let target = Tup.to_list tuple in
-    let check rule =
-      let head = rule.Rule.head in
-      let solve s0 =
-        try
-          Solve.solve ~source:src ~neg_source:(src 0) rule.Rule.body s0 (fun s ->
-              let args =
-                List.map (fun a -> Term.eval (Subst.apply s a)) head.Atom.args
-              in
-              if args = target then raise Exit);
-          false
-        with
-        | Exit -> true
-        | Solve.Unsafe _ -> false
-      in
-      match Subst.match_list head.Atom.args target Subst.empty with
-      | Some s0 -> solve s0
-      | None ->
-        (* head not syntactically matchable (arithmetic in the head):
-           enumerate the body and compare evaluated heads *)
-        solve Subst.empty
-    in
-    List.exists (fun (_, r) -> check r) (Program.rules_for t.program sym)
-  end
+(* Run one rule's rederivation plan over the candidates [want] against
+   the current database, emitting the candidates it proves.  An unsafe
+   valuation disqualifies only its own candidate, so a run that raises
+   {!Engine.Solve.Unsafe} is retried one candidate at a time. *)
+let run_rederive t ~stats r want ~on_fact =
+  let run want =
+    Plan.run ~stats
+      ~source:(fun lit sym ->
+        if lit = r.want_lit then [ Plan.full want ] else full_views t.db sym)
+      ~neg_source:(fun _ sym -> full_views t.db sym)
+      ~on_fact r.redo
+  in
+  try run want
+  with Engine.Solve.Unsafe _ ->
+    Rel.iter
+      (fun tu ->
+        let one = Rel.create (Rel.arity want) in
+        ignore (Rel.add one tu);
+        try run one with Engine.Solve.Unsafe _ -> ())
+      want
 
 let process_dred t ~stats ~changes ~ext_ops ~budget u =
   let usyms = Symbol.Set.of_list u.syms in
@@ -460,24 +489,45 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
       let rel = rel_of sym in
       Tup.Tbl.iter (fun tu () -> ignore (Rel.remove rel tu)) tbl)
     over;
-  (* ---- phase 3: rederivation worklist — a tuple comes back iff it is
-     externally supported or some rule proves it from what remains;
-     each restoration can enable further ones ---- *)
-  let progress = ref true in
+  (* ---- phase 3: rederivation — a tuple comes back iff it is
+     externally supported or some rule proves it from what remains.
+     Rounds run every rule once over all still-absent candidates of its
+     head and restore what they prove, until a round restores nothing:
+     the least fixpoint a per-tuple worklist would reach ---- *)
+  let progress = ref (Symbol.Tbl.length over > 0) in
+  let restore sym tu =
+    if Rel.add (rel_of sym) tu then begin
+      stats.Stats.rederived <- stats.Stats.rederived + 1;
+      progress := true
+    end
+  in
   while !progress do
     progress := false;
+    let wants = Symbol.Tbl.create 4 in
     Symbol.Tbl.iter
       (fun sym tbl ->
         let rel = rel_of sym in
+        let ext = Symbol.Tbl.find_opt t.external_ sym in
+        let want = Rel.create (Rel.arity rel) in
         Tup.Tbl.iter
           (fun tu () ->
-            if (not (Rel.mem rel tu)) && derivable t sym tu then begin
-              ignore (Rel.add rel tu);
-              stats.Stats.rederived <- stats.Stats.rederived + 1;
-              progress := true
-            end)
-          tbl)
-      over
+            if not (Rel.mem rel tu) then
+              match ext with
+              | Some ext when Rel.mem ext tu -> restore sym tu
+              | _ -> ignore (Rel.add want tu))
+          tbl;
+        if Rel.cardinal want > 0 then Symbol.Tbl.add wants sym want)
+      over;
+    let proven = ref [] in
+    List.iter
+      (fun (sym, r) ->
+        match Symbol.Tbl.find_opt wants sym with
+        | Some want ->
+          run_rederive t ~stats r want ~on_fact:(fun sym tu ->
+              proven := (sym, tu) :: !proven)
+        | None -> ())
+      u.rederive;
+    List.iter (fun (sym, tu) -> restore sym tu) !proven
   done;
   (* external assertions of tuples that were just overdeleted restore
      them in place (they are present in both old and new states, so
@@ -714,7 +764,10 @@ let compile_units program =
         | [ s ] when not (Program.is_recursive program s) -> Counting
         | _ -> DRed
       in
-      { syms; kind; rules = List.map compile_mrule own })
+      let rederive =
+        match kind with Counting -> [] | DRed -> List.map compile_rederive own
+      in
+      { syms; kind; rules = List.map compile_mrule own; rederive })
     (Program.sccs program)
 
 let create ?max_facts program ~edb =
@@ -733,7 +786,7 @@ let create ?max_facts program ~edb =
       | Some r when Rel.cardinal r > 0 -> Symbol.Tbl.add external_ sym (Rel.copy r)
       | _ -> ())
     derived;
-  let t = { program; db; derived; units; counts = Symbol.Tbl.create 8; external_ } in
+  let t = { db; derived; units; counts = Symbol.Tbl.create 8; external_ } in
   (* initial support counts for the counting predicates: one per
      rule-body valuation in the fixpoint, plus one per external fact *)
   List.iter
@@ -813,7 +866,6 @@ let of_image program im =
       Symbol.Tbl.add external_ sym r)
     im.im_external;
   {
-    program;
     db = im.im_db;
     derived = Program.derived program;
     units = compile_units program;

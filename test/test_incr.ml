@@ -224,6 +224,21 @@ let apply_shadow shadow ops =
       | M.Delete a -> List.filter (fun b -> b <> a) acc)
     shadow ops
 
+(* after every transaction, each of [preds] holds exactly what a
+   from-scratch evaluation of the updated EDB derives *)
+let maintained_equals_scratch p edb_facts txns preds =
+  let m = M.create p ~edb:(Engine.Database.of_facts edb_facts) in
+  let shadow = ref (List.sort_uniq compare edb_facts) in
+  List.for_all
+    (fun ops ->
+      ignore (M.apply m ops);
+      shadow := apply_shadow !shadow ops;
+      List.for_all
+        (fun (pred, arity) ->
+          M.answers m (wildcard pred arity) = scratch_pred p !shadow pred arity)
+        preds)
+    txns
+
 let prop_maintained_equals_scratch =
   qtest ~count:70 "maintained = scratch (original program, negation)"
     QCheck2.Gen.(triple gen_random_case (gen_txns gen_op) bool)
@@ -231,22 +246,8 @@ let prop_maintained_equals_scratch =
       let src =
         if with_neg then src ^ "\nu0(X, Y) :- e2(X, Y), not i0(X, Y)." else src
       in
-      let p = program src in
-      let m = M.create p ~edb:(Engine.Database.of_facts edb_facts) in
-      let shadow = ref (List.sort_uniq compare edb_facts) in
-      let preds =
-        [ ("i0", 2); ("i1", 2) ] @ if with_neg then [ ("u0", 2) ] else []
-      in
-      List.for_all
-        (fun ops ->
-          ignore (M.apply m ops);
-          shadow := apply_shadow !shadow ops;
-          List.for_all
-            (fun (pred, arity) ->
-              M.answers m (wildcard pred arity)
-              = scratch_pred p !shadow pred arity)
-            preds)
-        txns)
+      maintained_equals_scratch (program src) edb_facts txns
+        ([ ("i0", 2); ("i1", 2) ] @ if with_neg then [ ("u0", 2) ] else []))
 
 let prop_session_equals_scratch =
   qtest ~count:50 "maintained = scratch (gms/gsms sessions)"
@@ -268,6 +269,103 @@ let prop_session_equals_scratch =
           = sorted_answers
               (run_method meth p q (Engine.Database.of_facts !shadow)))
         txns)
+
+(* Rederivation cost must not grow with the magic relation.  The
+   session has the shape of the serve-mixed-durable benchmark: [keys]
+   source nodes fanning into chains, every key's seed installed, so
+   [magic_tc_bf] holds every node.  Deleting one key->leaf edge
+   overdeletes [magic_tc_bf(leaf)] and [tc_bf(key, leaf)]; proving or
+   refuting them binds the candidate into the rule bodies, so the
+   transaction's probes are the same for 50 keys and for 500.  The
+   words it allocates are bounded too: they also grow with a scan that
+   bypasses the probe counter. *)
+let rederive_cost keys =
+  let chains = 20 and chain_len = 14 in
+  let node prefix i = Term.Sym (Fmt.str "%s_%d" prefix i) in
+  let edge a b = Atom.make "edge" [ a; b ] in
+  let chain j i = Term.Sym (Fmt.str "c_%d_%d" j i) in
+  let facts =
+    List.concat
+      (List.init chains (fun j ->
+           List.init chain_len (fun i -> edge (chain j i) (chain j (i + 1)))))
+    @ List.concat
+        (List.init keys (fun i ->
+             [ edge (node "k" i) (chain (i mod chains) 0);
+               edge (node "k" i) (chain ((i + 1) mod chains) 0) ]))
+  in
+  let query k = Workload.Programs.tc_query (node "k" k) in
+  let s =
+    S.create ~strategy:S.GMS Workload.Programs.transitive_closure (query 0)
+      ~edb:(Engine.Database.of_facts facts)
+  in
+  for k = 1 to keys - 1 do
+    ignore (S.query_delta s (query k))
+  done;
+  let leaf = edge (node "k" 0) (Term.Sym "leaf") in
+  ignore (S.update s [ M.Insert leaf ]);
+  let words0 = Gc.minor_words () in
+  let stats = S.update s [ M.Delete leaf ] in
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check (list tuple_list))
+    "answers equal scratch"
+    [ sorted_answers
+        (run_method "gms" Workload.Programs.transitive_closure (query 0)
+           (Engine.Database.of_facts facts)) ]
+    [ sorted (fst (S.query s (query 0))) ];
+  (stats, words)
+
+let test_rederive_scaling () =
+  let small, small_words = rederive_cost 50 and large, large_words = rederive_cost 500 in
+  Alcotest.(check int) "overdeleted" 2 large.Engine.Stats.overdeleted;
+  Alcotest.(check int) "overdeleted independent of keys" small.Engine.Stats.overdeleted
+    large.Engine.Stats.overdeleted;
+  Alcotest.(check int) "probes independent of keys" small.Engine.Stats.probes
+    large.Engine.Stats.probes;
+  if large_words > 1.5 *. small_words then
+    Alcotest.failf "delete allocates %.0f words at 500 keys, %.0f at 50" large_words
+      small_words
+
+(* Head shapes DRed's rederivation compiles differently, each in its
+   own recursive unit over the random EDB: a constant in the head, a
+   repeated head variable, a function symbol, and arithmetic under a
+   bound (the head cannot be matched against a tuple, so its candidate
+   check comes last).  Two counting predicates read them, so a tuple
+   restored outside its candidate set would also skip their repair. *)
+let head_shapes =
+  "k0(X, Y) :- e0(X, Y).\n\
+   k0(n0, Y) :- k0(X, Z), e1(Z, Y).\n\
+   r0(X, X) :- e0(X, Y).\n\
+   r0(X, X) :- r0(Y, Y), e1(Y, X).\n\
+   r0(X, Y) :- r0(X, X), e2(X, Y).\n\
+   f0(g(X), Y) :- e0(X, Y).\n\
+   f0(g(X), Y) :- f0(g(Z), Y), e1(Z, X).\n\
+   d0(X, 0) :- e0(X, Y).\n\
+   d0(Y, N + 1) :- d0(X, N), e1(X, Y), N < 4.\n\
+   w0(X, Y) :- f0(g(X), Y), r0(Y, Y).\n\
+   w1(X, N) :- d0(X, N), k0(n0, X)."
+
+(* ops over the base predicates, plus external support on two of the
+   shaped heads *)
+let gen_shape_op =
+  let open QCheck2.Gen in
+  let* pred = oneofl [ "e0"; "e0"; "e1"; "e1"; "e2"; "k0"; "r0" ] in
+  let* a = int_bound 6 in
+  let* b = int_bound 6 in
+  let at =
+    Atom.make pred [ Term.Sym (Fmt.str "n%d" a); Term.Sym (Fmt.str "n%d" b) ]
+  in
+  map (fun del -> if del then M.Delete at else M.Insert at) bool
+
+let prop_head_shapes_equal_scratch =
+  qtest ~count:150 "maintained = scratch (constant, repeated, function, arithmetic heads)"
+    QCheck2.Gen.(
+      pair gen_random_case
+        (list_size (int_range 2 4) (list_size (int_range 1 4) gen_shape_op)))
+    (fun ((src, edb_facts), txns) ->
+      maintained_equals_scratch
+        (program (src ^ "\n" ^ head_shapes))
+        edb_facts txns
+        [ ("i0", 2); ("k0", 2); ("r0", 2); ("f0", 2); ("d0", 2); ("w0", 2); ("w1", 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* change summaries                                                    *)
@@ -376,6 +474,9 @@ let suite =
       test_summary_counting_stratum;
     Alcotest.test_case "session dynamic magic" `Quick test_session_dynamic_magic;
     Alcotest.test_case "session original" `Quick test_session_original;
+    Alcotest.test_case "dred rederive probes independent of size" `Quick
+      test_rederive_scaling;
     prop_maintained_equals_scratch;
     prop_session_equals_scratch;
+    prop_head_shapes_equal_scratch;
   ]
