@@ -18,10 +18,10 @@ let head_span t i =
 
 let lit_span t i j =
   match clause t i with
-  | Some c -> (
-    match List.nth_opt c.Parser.literal_spans j with
-    | Some s when not (Loc.is_dummy s) -> s
-    | _ -> c.Parser.clause_span)
+  | Some c ->
+    let spans = c.Parser.literal_spans in
+    if j >= 0 && j < Array.length spans && not (Loc.is_dummy spans.(j)) then spans.(j)
+    else c.Parser.clause_span
   | None -> Loc.dummy
 
 let query_span t = Option.value ~default:Loc.dummy t.srcmap.Parser.query_span

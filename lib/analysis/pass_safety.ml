@@ -3,7 +3,8 @@
    The binding model matches the evaluation engine: positive non-builtin
    literals bind their variables; an equality binds one side once the
    other side is fully bound (unification), iterated to a fixpoint;
-   comparisons bind nothing and require all their variables bound. *)
+   comparisons bind nothing and require all their variables bound, and
+   an equality neither of whose sides is ever bound cannot run. *)
 
 open Datalog
 module S = Set.Make (String)
@@ -69,8 +70,16 @@ let check_rule ctx i (r : Rule.t) =
       (List.mapi
          (fun j lit ->
            match lit with
-           | Rule.Pos a when Atom.is_builtin a && a.Atom.pred <> "=" -> (
-             match unrestricted (Atom.vars a) with
+           | Rule.Pos a when Atom.is_builtin a -> (
+             (* an equality needs one side bound; a comparison both *)
+             let unbound =
+               match a.Atom.pred, a.Atom.args with
+               | "=", [ l; r ] ->
+                 let ul = unrestricted (Term.vars l) and ur = unrestricted (Term.vars r) in
+                 if ul = [] || ur = [] then [] else unrestricted (Atom.vars a)
+               | _ -> unrestricted (Atom.vars a)
+             in
+             match unbound with
              | [] -> []
              | vs ->
                [

@@ -21,7 +21,8 @@
     nor inside a deletable literal, nor a droppable column, nor (for
     deletions) a bound argument of the arc's target.  Evaluating the
     optimized program requires inverting the linear index patterns, which
-    {!Datalog.Subst.match_term} supports.
+    the engine's compiled plans ({!Engine.Plan}) and
+    {!Datalog.Subst.match_term} both support.
 
     When the optimization drops the query predicate's bound arguments,
     the result's query selects the root index level [(0, 0, 0)] and its

@@ -78,17 +78,19 @@ type arith_op = Plus | Times | Quot
 
 exception Arithmetic_overflow
 
-let add_checked i j =
+let add_int i j =
   let r = i + j in
   if (i >= 0 && j >= 0 && r < 0) || (i < 0 && j < 0 && r >= 0) then
     raise Arithmetic_overflow
   else r
 
-let mul_checked i j =
+let mul_int i j =
   if i = 0 || j = 0 then 0
   else
     let r = i * j in
     if r / j <> i then raise Arithmetic_overflow else r
+
+let div_int i j = if j = 0 then invalid_arg "Term.eval: division by zero" else i / j
 
 let rec eval t =
   match t with
@@ -102,9 +104,9 @@ and arith op a b =
   match a, b with
   | Int i, Int j -> begin
     match op with
-    | Plus -> Int (add_checked i j)
-    | Times -> Int (mul_checked i j)
-    | Quot -> if j = 0 then invalid_arg "Term.eval: division by zero" else Int (i / j)
+    | Plus -> Int (add_int i j)
+    | Times -> Int (mul_int i j)
+    | Quot -> Int (div_int i j)
   end
   | Sym _, _ | _, Sym _ -> invalid_arg "Term.eval: arithmetic over non-integer"
   | (Var _ | App _ | Add _ | Mul _ | Div _), _ | _, (Var _ | App _ | Add _ | Mul _ | Div _)

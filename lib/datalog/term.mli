@@ -50,6 +50,13 @@ val eval : t -> t
     over non-integers raises [Invalid_argument]; overflowing arithmetic
     raises {!Arithmetic_overflow}. *)
 
+val add_int : int -> int -> int
+val mul_int : int -> int -> int
+val div_int : int -> int -> int
+(** The integer operations {!eval} performs: sums and products raise
+    {!Arithmetic_overflow} instead of wrapping, division by zero raises
+    [Invalid_argument]. *)
+
 val size : t -> int
 (** Number of constructors; the paper's term length |t| for ground terms
     (a constant has length 1, [f(t1..tn)] has length 1 + sum |ti|). *)

@@ -1,114 +1,76 @@
 open Datalog
 module SS = Set.Make (String)
 
-type slot = Const of Term.t | Bound of string | Expr of Term.t
+type expr =
+  | Val of Value.t
+  | Slot of int
+  | Fn of string * expr array
+  | Add of expr * expr
+  | Mul of expr * expr
+  | Div of expr * expr
+
+type pat =
+  | Bind of int
+  | Eq of expr
+  | Args of string * pat array
+  | Minus of pat * expr
+  | Over of pat * expr
+  | Never
 
 type scan = {
   lit : int;
   sym : Symbol.t;
   pattern : bool array;
-  key : slot array;
-  free : (int * Term.t) list;
-  all_bound : bool;
+  key : expr array;
+  free : (int * pat) array;
 }
 
 type step =
   | Scan of scan
-  | Builtin of Atom.t
-  | Neg_builtin of Atom.t
-  | Neg_scan of { lit : int; sym : Symbol.t; atom : Atom.t; key : slot array option }
+  | Test of { l : expr; r : expr; holds : Value.t -> Value.t -> bool }
+  | Unify of { value : expr; pat : pat }
+  | Neg of { lit : int; sym : Symbol.t; key : expr array }
+  | Unsafe of (Value.t array -> string)
 
-type emit = Direct of Symbol.t * slot array | Dynamic of Atom.t
-
-(* Pure-relational instances (every step a scan, every free position a
-   plain variable, every key slot a constant or a bound variable, head
-   statically safe) additionally compile to an integer-slot form: the
-   substitution becomes a [Value.t array] indexed by compile-time
-   variable numbers, so the inner join loop allocates no map nodes,
-   performs no logarithmic lookups, and compares interned ids instead of
-   term structures.  Static binding discipline makes un-binding on
-   backtrack unnecessary: a slot is only ever read after a write on the
-   current path. *)
-type fslot = Fconst of Value.t | Fbound of int
-
-type faction =
-  | Bind of int * int  (** tuple position [pos] binds env slot [slot] *)
-  | Check of int * int
-      (** repeated variable within one literal: tuple position must equal
-          the slot bound by its first occurrence *)
-
-type fscan = {
-  flit : int;
-  fsym : Symbol.t;
-  fpattern : bool array;
-  fkey : fslot array;
-  ffree : faction array;
-  fall_bound : bool;
+type instance = {
+  steps : step array;
+  head_sym : Symbol.t;
+  head : expr array;
+  nvars : int;
 }
-
-(* The compiled form is immutable: all executor scratch (the env array
-   and the per-scan key buffers the slots are evaluated into) is
-   allocated per {!run_fast} call, a handful of small arrays per rule
-   firing.  Probes within a run still reuse the same buffers, so the
-   inner join loop stays allocation-free — but two executors of the same
-   instance (an [on_fact] that fires another run) can never corrupt each
-   other's keys.  [fzero] is a pre-interned filler for those scratch
-   arrays, so a run interns nothing. *)
-type fast = {
-  fsteps : fscan array;
-  fhead_sym : Symbol.t;
-  fhead : fslot array;
-  fvars : int;
-  fzero : Value.t;
-}
-
-type instance = { steps : step array; head : emit; fast : fast option }
 
 type t = { rule : Rule.t; base : instance; delta : (int * instance) list }
 
 (* ------------------------------------------------------------------ *)
-(* Compilation                                                         *)
+(* Join order                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let rec has_arith = function
-  | Term.Add _ | Term.Mul _ | Term.Div _ -> true
-  | Term.App (_, xs) -> List.exists has_arith xs
-  | Term.Var _ | Term.Int _ | Term.Sym _ -> false
 
 let term_vars t = SS.of_list (Term.vars t)
 let all_vars_bound bound t = SS.subset (term_vars t) bound
 
-(* The slot for a term that is guaranteed ground at probe time.  Constants
-   containing arithmetic stay [Expr] so that evaluation errors (division
-   by zero, overflow) surface at the same point as in the uncompiled
-   engine, not at compile time. *)
-let slot_of bound t =
-  match t with
-  | Term.Var x when SS.mem x bound -> Bound x
-  | _ -> if Term.is_ground t && not (has_arith t) then Const t else Expr t
+let is_eq = function
+  | Rule.Pos a -> Atom.is_builtin a && String.equal a.Atom.pred "="
+  | Rule.Neg _ -> false
 
-(* Variables definitely ground after a successful [=] builtin: if one
-   side is fully bound, unification grounds every variable of the other
-   side.  (If neither side is bound, [=] may still record bindings in the
-   substitution, but their images can be non-ground, so they must not be
-   promoted: a bound slot feeding an index key has to be ground.) *)
-let bound_after_eq bound l r =
-  let bound = if all_vars_bound bound l then SS.union bound (term_vars r) else bound in
-  if all_vars_bound bound r then SS.union bound (term_vars l) else bound
-
+(* Variables bound after a literal succeeds.  An [=] is only placed once
+   one side is fully bound, and then grounds every variable of the
+   other side. *)
 let bound_after bound lit =
   match lit with
   | Rule.Pos a when Atom.is_builtin a -> begin
     match a.Atom.pred, a.Atom.args with
-    | "=", [ l; r ] -> bound_after_eq bound l r
+    | "=", [ l; r ] ->
+      if all_vars_bound bound l || all_vars_bound bound r then
+        SS.union bound (SS.union (term_vars l) (term_vars r))
+      else bound
     | _ -> bound
   end
   | Rule.Pos a -> SS.union bound (SS.of_list (Atom.vars a))
   | Rule.Neg _ -> bound
 
-(* A builtin or negated literal is ready once enough of its variables are
-   bound to evaluate it without an [Unsafe]; [=] is ready as soon as one
-   side is fully bound (it then grounds the other). *)
+(* A builtin or negated literal is ready once it can run without an
+   [Unsafe]: [=] as soon as one side is fully bound, anything else once
+   all of its variables are. *)
 let ready bound lit =
   match lit with
   | Rule.Pos a when Atom.is_builtin a -> begin
@@ -119,6 +81,30 @@ let ready bound lit =
   | Rule.Neg a -> List.for_all (all_vars_bound bound) a.Atom.args
   | Rule.Pos _ -> false
 
+(* The rule's own literal order, except that an [=] with no bound side
+   waits until one side is bound: before that its bindings would not be
+   ground.  Every other literal stays where it is, so an unready
+   comparison or negation raises [Unsafe] exactly where {!Solve} does. *)
+let textual body =
+  let bound = ref SS.empty in
+  let waiting = ref [] in
+  let out = ref [] in
+  let rec place ((_, lit) as entry) =
+    out := entry :: !out;
+    bound := bound_after !bound lit;
+    match List.find_opt (fun (_, l) -> ready !bound l) !waiting with
+    | Some e ->
+      waiting := List.filter (fun w -> w != e) !waiting;
+      place e
+    | None -> ()
+  in
+  List.iter
+    (fun ((_, lit) as entry) ->
+      if is_eq lit && not (ready !bound lit) then waiting := !waiting @ [ entry ]
+      else place entry)
+    body;
+  List.rev_append !out !waiting
+
 (* Greedy bound-first join ordering.  The forced literal (the semi-naive
    delta literal) is scanned first, so a round's work is proportional to
    the delta, not to the relations the rule happens to mention first.
@@ -126,9 +112,8 @@ let ready bound lit =
    filters: running them as early as possible only shrinks the join), and
    the next relation literal is the one with the most bound argument
    positions (ties resolved towards the original left-to-right order, the
-   paper's default sip).  Unready builtins/negations that survive to the
-   end are emitted in original order and re-checked dynamically, exactly
-   like the uncompiled engine. *)
+   paper's default sip).  Builtins/negations that never become ready end
+   the order in original order and raise [Unsafe] when reached. *)
 let order ~forced body =
   let emitted = ref [] in
   let bound = ref SS.empty in
@@ -139,20 +124,12 @@ let order ~forced body =
   let remaining = ref [] in
   List.iter
     (fun ((i, _) as entry) ->
-      if Some i = forced then emit entry else remaining := entry :: !remaining)
+      if i = forced then emit entry else remaining := entry :: !remaining)
     body;
   remaining := List.rev !remaining;
   let take entry = remaining := List.filter (fun e -> e != entry) !remaining in
   let rec flush () =
-    match
-      List.find_opt
-        (fun (_, lit) ->
-          match lit with
-          | Rule.Pos a when Atom.is_builtin a -> ready !bound lit
-          | Rule.Neg _ -> ready !bound lit
-          | Rule.Pos _ -> false)
-        !remaining
-    with
+    match List.find_opt (fun (_, lit) -> ready !bound lit) !remaining with
     | Some entry ->
       take entry;
       emit entry;
@@ -183,121 +160,178 @@ let order ~forced body =
       take entry;
       emit entry
     | None ->
-      (* only builtins/negations that never become ready: keep them in
-         original order; execution re-checks groundness dynamically *)
       List.iter emit !remaining;
       remaining := []
   done;
   List.rev !emitted
 
-let compile_scan bound i atom =
-  let args = atom.Atom.args in
-  let pattern = Array.of_list (List.map (all_vars_bound bound) args) in
-  let key =
-    Array.of_list
-      (List.filter_map
-         (fun t -> if all_vars_bound bound t then Some (slot_of bound t) else None)
-         args)
-  in
-  let free =
-    List.filteri (fun j _ -> not pattern.(j)) (List.mapi (fun j t -> (j, t)) args)
-  in
-  Scan { lit = i; sym = Atom.symbol atom; pattern; key; free; all_bound = free = [] }
+(* ------------------------------------------------------------------ *)
+(* Compilation to slots                                                *)
+(* ------------------------------------------------------------------ *)
 
-(* Conversion to the integer-slot form; [None] when the instance uses any
-   feature the fast executor does not model (builtins, negation,
-   arithmetic slots or patterns, dynamic heads). *)
-let fast_of_instance steps head =
-  let exception Unsupported in
-  let slots = Hashtbl.create 8 in
-  let fvars = ref 0 in
-  let conv_key = function
-    | Const t -> Fconst (Value.intern t)
-    | Bound x -> begin
-      match Hashtbl.find_opt slots x with
-      | Some i -> Fbound i
-      | None -> raise Unsupported
-    end
-    | Expr _ -> raise Unsupported
-  in
-  try
-    let fsteps =
-      Array.map
-        (function
-          | Scan s ->
-            let fkey = Array.map conv_key s.key in
-            let seen = Hashtbl.create 4 in
-            let ffree =
-              Array.of_list
-                (List.map
-                   (fun (pos, t) ->
-                     match t with
-                     | Term.Var x when Hashtbl.mem seen x ->
-                       Check (pos, Hashtbl.find slots x)
-                     | Term.Var x when not (Hashtbl.mem slots x) ->
-                       let i = !fvars in
-                       incr fvars;
-                       Hashtbl.add slots x i;
-                       Hashtbl.add seen x ();
-                       Bind (pos, i)
-                     | _ -> raise Unsupported)
-                   s.free)
-            in
-            {
-              flit = s.lit;
-              fsym = s.sym;
-              fpattern = s.pattern;
-              fkey;
-              ffree;
-              fall_bound = s.all_bound;
-            }
-          | Builtin _ | Neg_builtin _ | Neg_scan _ -> raise Unsupported)
-        steps
+(* The variables of one instance, numbered in binding order.  Static
+   binding discipline makes un-binding on backtrack unnecessary: a slot
+   is only ever read after a write on the current path. *)
+type scope = { slots : (string, int) Hashtbl.t; mutable next : int }
+
+let bound sc t = List.for_all (Hashtbl.mem sc.slots) (Term.vars t)
+
+let fresh sc x =
+  let i = sc.next in
+  sc.next <- i + 1;
+  Hashtbl.replace sc.slots x i;
+  i
+
+let rec has_arith = function
+  | Term.Add _ | Term.Mul _ | Term.Div _ -> true
+  | Term.App (_, xs) -> List.exists has_arith xs
+  | Term.Var _ | Term.Int _ | Term.Sym _ -> false
+
+(* A term whose variables are all bound.  Ground subterms without
+   arithmetic are interned once here; arithmetic is always evaluated at
+   run time, so an overflow or a division by zero surfaces where the
+   rule reaches it. *)
+let rec expr_of sc t =
+  match t with
+  | Term.Var x -> Slot (Hashtbl.find sc.slots x)
+  | _ when Term.is_ground t && not (has_arith t) -> Val (Value.intern t)
+  | Term.App (f, xs) -> Fn (f, Array.of_list (List.map (expr_of sc) xs))
+  | Term.Add (a, b) -> Add (expr_of sc a, expr_of sc b)
+  | Term.Mul (a, b) -> Mul (expr_of sc a, expr_of sc b)
+  | Term.Div (a, b) -> Div (expr_of sc a, expr_of sc b)
+  | Term.Int _ | Term.Sym _ -> assert false (* ground, handled above *)
+
+(* A pattern to match against a value, binding its unbound variables
+   left to right.  With [~invert], [x + c] and [x * c] with [c] bound
+   are solved for [x], as the semijoin counting rules need once their
+   guard literal is gone; [=] does not invert (unification does not
+   evaluate an unbound side). *)
+let rec pat_of ~invert sc t =
+  if bound sc t then Eq (expr_of sc t)
+  else
+    match t with
+    | Term.Var x -> Bind (fresh sc x)
+    | Term.App (f, xs) ->
+      let rec args = function
+        | [] -> []
+        | x :: rest ->
+          let p = pat_of ~invert sc x in
+          p :: args rest
+      in
+      Args (f, Array.of_list (args xs))
+    | Term.Add (a, c) when invert && bound sc c -> minus ~invert sc a c
+    | Term.Add (c, a) when invert && bound sc c -> minus ~invert sc a c
+    | Term.Mul (a, c) when invert && bound sc c -> over ~invert sc a c
+    | Term.Mul (c, a) when invert && bound sc c -> over ~invert sc a c
+    | Term.Add _ | Term.Mul _ | Term.Div _ | Term.Int _ | Term.Sym _ ->
+      (* never matches; its variables still get slots so that later
+         literals compile, though no path ever reaches them *)
+      List.iter
+        (fun x -> if not (Hashtbl.mem sc.slots x) then ignore (fresh sc x))
+        (Term.vars t);
+      Never
+
+and minus ~invert sc a c =
+  let c = expr_of sc c in
+  Minus (pat_of ~invert sc a, c)
+
+and over ~invert sc a c =
+  let c = expr_of sc c in
+  Over (pat_of ~invert sc a, c)
+
+(* The atom with its bound variables replaced by their values: the
+   message of an [Unsafe] raised at this point. *)
+let applied sc atom =
+  let slots = Hashtbl.fold (fun x i acc -> (x, i) :: acc) sc.slots [] in
+  fun env ->
+    let value x =
+      match List.assoc_opt x slots with
+      | Some i -> Value.extern env.(i)
+      | None -> Term.Var x
     in
-    match head with
-    | Direct (sym, hslots) ->
-      Some
-        {
-          fsteps;
-          fhead_sym = sym;
-          fhead = Array.map conv_key hslots;
-          fvars = !fvars;
-          fzero = Value.intern (Term.Int 0);
-        }
-    | Dynamic _ -> None
-  with Unsupported -> None
+    let arg t = Term.eval (Term.map_vars value t) in
+    { atom with Atom.args = List.map arg atom.Atom.args }
+
+let comparison = function
+  | "=" -> Value.equal
+  | "<>" -> fun a b -> not (Value.equal a b)
+  | "<" -> fun a b -> Value.compare_structural a b < 0
+  | "<=" -> fun a b -> Value.compare_structural a b <= 0
+  | ">" -> fun a b -> Value.compare_structural a b > 0
+  | ">=" -> fun a b -> Value.compare_structural a b >= 0
+  | op -> invalid_arg ("Plan: unknown builtin " ^ op)
+
+let compile_step sc i lit =
+  let unready a =
+    Unsafe (fun _ -> Fmt.str "builtin %a reached with unbound arguments" Atom.pp a)
+  in
+  let negated a =
+    let applied = applied sc a in
+    Unsafe
+      (fun env ->
+        Fmt.str "negated literal %a reached with unbound variables" Atom.pp (applied env))
+  in
+  match lit with
+  | Rule.Pos ({ Atom.pred = "="; args = [ l; r ] } as a) when Atom.is_builtin a ->
+    if bound sc l then Unify { value = expr_of sc l; pat = pat_of ~invert:false sc r }
+    else if bound sc r then Unify { value = expr_of sc r; pat = pat_of ~invert:false sc l }
+    else unready a
+  | Rule.Pos ({ Atom.args = [ l; r ]; _ } as a) when Atom.is_builtin a ->
+    if bound sc l && bound sc r then
+      Test { l = expr_of sc l; r = expr_of sc r; holds = comparison a.Atom.pred }
+    else unready a
+  | Rule.Neg ({ Atom.args = [ l; r ]; _ } as a) when Atom.is_builtin a ->
+    if bound sc l && bound sc r then
+      let holds = comparison a.Atom.pred in
+      Test { l = expr_of sc l; r = expr_of sc r; holds = (fun x y -> not (holds x y)) }
+    else negated a
+  | Rule.Neg a ->
+    if List.for_all (bound sc) a.Atom.args then
+      let key = Array.of_list (List.map (expr_of sc) a.Atom.args) in
+      Neg { lit = i; sym = Atom.symbol a; key }
+    else negated a
+  | Rule.Pos a ->
+    let args = List.mapi (fun j t -> (j, t)) a.Atom.args in
+    let bound_args, free_args = List.partition (fun (_, t) -> bound sc t) args in
+    let pattern = Array.of_list (List.map (fun (_, t) -> bound sc t) args) in
+    let key = Array.of_list (List.map (fun (_, t) -> expr_of sc t) bound_args) in
+    (* free positions match left to right, so a variable repeated within
+       the literal is checked against its first occurrence *)
+    let rec free = function
+      | [] -> []
+      | (j, t) :: rest ->
+        let p = pat_of ~invert:true sc t in
+        (j, p) :: free rest
+    in
+    let free = Array.of_list (free free_args) in
+    Scan { lit = i; sym = Atom.symbol a; pattern; key; free }
 
 let compile_instance rule ordered =
-  let bound = ref SS.empty in
-  let steps =
-    List.map
-      (fun (i, lit) ->
-        let step =
-          match lit with
-          | Rule.Pos atom when Atom.is_builtin atom -> Builtin atom
-          | Rule.Pos atom -> compile_scan !bound i atom
-          | Rule.Neg atom ->
-            if Atom.is_builtin atom then Neg_builtin atom
-            else
-              let key =
-                if List.for_all (all_vars_bound !bound) atom.Atom.args then
-                  Some (Array.of_list (List.map (slot_of !bound) atom.Atom.args))
-                else None
-              in
-              Neg_scan { lit = i; sym = Atom.symbol atom; atom; key }
-        in
-        bound := bound_after !bound lit;
-        step)
-      ordered
+  let sc = { slots = Hashtbl.create 8; next = 0 } in
+  let rec steps = function
+    | [] -> []
+    | (i, lit) :: rest ->
+      let s = compile_step sc i lit in
+      s :: steps rest
   in
-  let head =
-    let h = rule.Rule.head in
-    if List.for_all (all_vars_bound !bound) h.Atom.args then
-      Direct (Atom.symbol h, Array.of_list (List.map (slot_of !bound) h.Atom.args))
-    else Dynamic h
+  let steps = steps ordered in
+  let h = rule.Rule.head in
+  let steps, head =
+    if List.for_all (bound sc) h.Atom.args then
+      (steps, Array.of_list (List.map (expr_of sc) h.Atom.args))
+    else
+      let applied = applied sc h in
+      let unsafe env =
+        Fmt.str "rule for %a derived non-ground head %a" Atom.pp h Atom.pp (applied env)
+      in
+      (steps @ [ Unsafe unsafe ], [||])
   in
-  let steps = Array.of_list steps in
-  { steps; head; fast = fast_of_instance steps head }
+  {
+    steps = Array.of_list steps;
+    head_sym = Atom.symbol h;
+    head;
+    nvars = sc.next;
+  }
 
 let compile ~delta_preds rule =
   let body = List.mapi (fun i lit -> (i, lit)) rule.Rule.body in
@@ -314,13 +348,10 @@ let compile ~delta_preds rule =
   in
   {
     rule;
-    (* the base instance keeps the rule's own literal order: naive rounds
-       and the semi-naive round 0 behave exactly like the uncompiled
-       engine, including which literal an [Unsafe] is reported for *)
-    base = compile_instance rule body;
+    base = compile_instance rule (textual body);
     delta =
       List.map
-        (fun dpos -> (dpos, compile_instance rule (order ~forced:(Some dpos) body)))
+        (fun dpos -> (dpos, compile_instance rule (order ~forced:dpos body)))
         delta_positions;
   }
 
@@ -337,12 +368,6 @@ let compile_stratum rules =
 (* ------------------------------------------------------------------ *)
 
 type view = { rel : Relation.t; lo : int; hi : int }
-
-(* A literal reads the union of a list of disjoint stamp-range views.
-   The ordinary engines use singleton lists (one relation per literal);
-   the incremental maintenance layer reads e.g. the pre-update state of a
-   relation as "post-deletion range + the deleted set" without copying
-   either. *)
 type source = int -> Symbol.t -> view list
 
 let full rel = { rel; lo = 0; hi = max_int }
@@ -367,196 +392,118 @@ let rec views_iter_matching views ~pattern ~key f =
     Relation.iter_matching_in v.rel ~pattern ~key ~lo:v.lo ~hi:v.hi f;
     views_iter_matching rest ~pattern ~key f
 
-let bump_probes stats =
-  match stats with None -> () | Some s -> s.Stats.probes <- s.Stats.probes + 1
+let int_of v =
+  match Value.node v with
+  | Value.Int i -> i
+  | Value.Sym _ | Value.App _ -> invalid_arg "Term.eval: arithmetic over non-integer"
 
-let slot_value subst = function
-  | Const t -> t
-  | Bound x -> begin
-    match Subst.find x subst with
-    | Some t -> t
-    | None -> assert false (* compilation guarantees the binding exists *)
+let rec eval env = function
+  | Val v -> v
+  | Slot i -> env.(i)
+  | Fn (f, args) -> Value.app f (Array.map (eval env) args)
+  | Add (a, b) -> Value.int (Term.add_int (int_of (eval env a)) (int_of (eval env b)))
+  | Mul (a, b) -> Value.int (Term.mul_int (int_of (eval env a)) (int_of (eval env b)))
+  | Div (a, b) -> Value.int (Term.div_int (int_of (eval env a)) (int_of (eval env b)))
+
+let rec matches env p v =
+  match p with
+  | Bind i ->
+    env.(i) <- v;
+    true
+  | Eq e -> Value.equal (eval env e) v
+  | Args (f, ps) -> begin
+    match Value.node v with
+    | Value.App (g, kids) when String.equal f g && Array.length kids = Array.length ps ->
+      matches_all env ps kids 0
+    | Value.App _ | Value.Int _ | Value.Sym _ -> false
   end
-  | Expr t -> Term.eval (Subst.apply subst t)
-
-let eval_key subst slots = Array.map (fun s -> Value.intern (slot_value subst s)) slots
-
-let rec match_free free tuple subst =
-  match free with
-  | [] -> Some subst
-  | (pos, pat) :: rest -> begin
-    match Subst.match_term pat (Value.extern tuple.(pos)) subst with
-    | None -> None
-    | Some subst' -> match_free rest tuple subst'
+  | Minus (p, c) -> begin
+    let c = int_of (eval env c) in
+    match Value.node v with
+    | Value.Int n -> matches env p (Value.int (n - c))
+    | Value.Sym _ | Value.App _ -> false
   end
+  | Over (p, c) -> begin
+    let c = int_of (eval env c) in
+    match Value.node v with
+    | Value.Int n -> c <> 0 && n mod c = 0 && matches env p (Value.int (n / c))
+    | Value.Sym _ | Value.App _ -> false
+  end
+  | Never -> false
 
-let run_fast ?stats ~source ~on_fact f =
-  let env = Array.make (max 1 f.fvars) f.fzero in
-  let keybufs =
-    Array.map (fun s -> Array.make (Array.length s.fkey) f.fzero) f.fsteps
+and matches_all env ps vs j =
+  j >= Array.length ps || (matches env ps.(j) vs.(j) && matches_all env ps vs (j + 1))
+
+(* the common cases, a fresh variable and a slot read, are matched
+   inline here and in [fill]: they run once per retrieved tuple and key
+   component *)
+let rec match_free env free tuple j =
+  j >= Array.length free
+  ||
+  let pos, p = free.(j) in
+  (match p with
+   | Bind i ->
+     env.(i) <- tuple.(pos);
+     true
+   | Eq _ | Args _ | Minus _ | Over _ | Never -> matches env p tuple.(pos))
+  && match_free env free tuple (j + 1)
+
+let fill env key exprs =
+  for j = 0 to Array.length exprs - 1 do
+    key.(j) <-
+      (match exprs.(j) with
+       | Slot w -> env.(w)
+       | Val v -> v
+       | (Fn _ | Add _ | Mul _ | Div _) as e -> eval env e)
+  done;
+  key
+
+(* Executor scratch (the env and the key buffers slots are evaluated
+   into) is allocated per call, so an [on_fact] that runs the same
+   instance again cannot corrupt this run's keys; probes within a run
+   reuse the buffers, so a probe itself allocates nothing. *)
+let run ?stats ~source ~neg_source ~on_fact inst =
+  let zero = Value.int 0 in
+  let env = Array.make (max 1 inst.nvars) zero in
+  let keys =
+    Array.map
+      (function
+        | Scan { key; _ } | Neg { key; _ } -> Array.make (Array.length key) zero
+        | Test _ | Unify _ | Unsafe _ -> [||])
+      inst.steps
   in
-  let bump =
-    match stats with
-    | None -> fun () -> ()
-    | Some s -> fun () -> s.Stats.probes <- s.Stats.probes + 1
+  let bump () =
+    match stats with None -> () | Some s -> s.Stats.probes <- s.Stats.probes + 1
   in
-  let nsteps = Array.length f.fsteps in
+  let nsteps = Array.length inst.steps in
   let rec go i =
-    if i >= nsteps then
-      on_fact f.fhead_sym
-        (Array.map (function Fconst t -> t | Fbound j -> env.(j)) f.fhead)
+    if i >= nsteps then on_fact inst.head_sym (Array.map (eval env) inst.head)
     else
-      let s = f.fsteps.(i) in
-      match source s.flit s.fsym with
-      | [] -> ()
-      | views ->
-        let key = keybufs.(i) in
-        for j = 0 to Array.length s.fkey - 1 do
-          key.(j) <- (match s.fkey.(j) with Fconst v -> v | Fbound w -> env.(w))
-        done;
-        bump ();
-        if s.fall_bound then begin
-          if view_mem views key then go (i + 1)
-        end
-        else
-          views_iter_matching views ~pattern:s.fpattern ~key (fun tuple ->
-              let nfree = Array.length s.ffree in
-              let rec apply j =
-                if j >= nfree then go (i + 1)
-                else
-                  match s.ffree.(j) with
-                  | Bind (pos, slot) ->
-                    env.(slot) <- tuple.(pos);
-                    apply (j + 1)
-                  | Check (pos, slot) ->
-                    if Value.equal env.(slot) tuple.(pos) then apply (j + 1)
-              in
-              apply 0)
-  in
-  go 0
-
-let run_generic ?stats ~source ~neg_source ~on_fact instance =
-  let steps = instance.steps in
-  let nsteps = Array.length steps in
-  let emit subst =
-    match instance.head with
-    | Direct (sym, slots) -> on_fact sym (eval_key subst slots)
-    | Dynamic h ->
-      let head = Atom.apply_eval subst h in
-      if not (Atom.is_ground head) then
-        raise
-          (Solve.Unsafe
-             (Fmt.str "rule for %a derived non-ground head %a" Atom.pp h Atom.pp head));
-      on_fact (Atom.symbol head) (Tuple.of_list head.Atom.args)
-  in
-  let rec go i subst =
-    if i >= nsteps then emit subst
-    else
-      match steps.(i) with
+      match inst.steps.(i) with
       | Scan s -> begin
         match source s.lit s.sym with
         | [] -> ()
         | views ->
-          let key = eval_key subst s.key in
-          bump_probes stats;
-          if s.all_bound then begin
-            if view_mem views key then go (i + 1) subst
+          let key = fill env keys.(i) s.key in
+          bump ();
+          if Array.length s.free = 0 then begin
+            if view_mem views key then go (i + 1)
           end
           else
             views_iter_matching views ~pattern:s.pattern ~key (fun tuple ->
-                match match_free s.free tuple subst with
-                | Some subst' -> go (i + 1) subst'
-                | None -> ())
+                if match_free env s.free tuple 0 then go (i + 1))
       end
-      | Builtin atom -> Solve.eval_builtin atom subst (fun s -> go (i + 1) s)
-      | Neg_builtin atom ->
-        let a = Atom.apply_eval subst atom in
-        if not (Atom.is_ground a) then
-          raise
-            (Solve.Unsafe
-               (Fmt.str "negated literal %a reached with unbound variables" Atom.pp a))
-        else begin
-          let found = ref false in
-          Solve.eval_builtin a subst (fun _ -> found := true);
-          if not !found then go (i + 1) subst
-        end
-      | Neg_scan { lit; sym; atom; key } ->
+      | Test { l; r; holds } -> if holds (eval env l) (eval env r) then go (i + 1)
+      | Unify { value; pat } -> if matches env pat (eval env value) then go (i + 1)
+      | Neg { lit; sym; key } ->
         let holds =
-          match key with
-          | Some slots -> begin
-            match neg_source lit sym with
-            | [] -> false
-            | views ->
-              bump_probes stats;
-              view_mem views (eval_key subst slots)
-          end
-          | None ->
-            let a = Atom.apply_eval subst atom in
-            if not (Atom.is_ground a) then
-              raise
-                (Solve.Unsafe
-                   (Fmt.str "negated literal %a reached with unbound variables" Atom.pp
-                      a));
-            (match neg_source lit sym with
-             | [] -> false
-             | views -> (
-               bump_probes stats;
-               (* a component that was never interned occurs in no view *)
-               match Tuple.find_of_list a.Atom.args with
-               | None -> false
-               | Some key -> view_mem views key))
+          match neg_source lit sym with
+          | [] -> false
+          | views ->
+            bump ();
+            view_mem views (fill env keys.(i) key)
         in
-        if not holds then go (i + 1) subst
+        if not holds then go (i + 1)
+      | Unsafe message -> raise (Solve.Unsafe (message env))
   in
-  go 0 Subst.empty
-
-let run ?stats ~source ~neg_source ~on_fact instance =
-  match instance.fast with
-  | Some f -> run_fast ?stats ~source ~on_fact f
-  | None -> run_generic ?stats ~source ~neg_source ~on_fact instance
-
-let head_symbol instance =
-  match instance.head with Direct (sym, _) -> Some sym | Dynamic _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Pretty-printing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let pp_slot ppf = function
-  | Const t -> Fmt.pf ppf "const %a" Term.pp t
-  | Bound x -> Fmt.pf ppf "var %s" x
-  | Expr t -> Fmt.pf ppf "expr %a" Term.pp t
-
-let pp_step ppf = function
-  | Scan s ->
-    Fmt.pf ppf "scan@%d %a %s [%a]%s" s.lit Symbol.pp s.sym
-      (String.concat ""
-         (List.map (fun b -> if b then "b" else "f") (Array.to_list s.pattern)))
-      (Fmt.list ~sep:(Fmt.any "; ") pp_slot)
-      (Array.to_list s.key)
-      (if s.all_bound then " (mem)" else "")
-  | Builtin a -> Fmt.pf ppf "builtin %a" Atom.pp a
-  | Neg_builtin a -> Fmt.pf ppf "neg-builtin %a" Atom.pp a
-  | Neg_scan { sym; key; _ } ->
-    Fmt.pf ppf "neg-scan %a%s" Symbol.pp sym
-      (match key with Some _ -> "" | None -> " (dynamic)")
-
-let pp_emit ppf = function
-  | Direct (sym, slots) ->
-    Fmt.pf ppf "direct %a (%a)" Symbol.pp sym
-      (Fmt.list ~sep:(Fmt.any ", ") pp_slot)
-      (Array.to_list slots)
-  | Dynamic a -> Fmt.pf ppf "dynamic %a" Atom.pp a
-
-let pp_instance ppf inst =
-  Fmt.pf ppf "@[<v2>%a@ head: %a%s@]"
-    (Fmt.list ~sep:Fmt.cut pp_step)
-    (Array.to_list inst.steps) pp_emit inst.head
-    (match inst.fast with Some _ -> " (fast)" | None -> "")
-
-let pp ppf plan =
-  Fmt.pf ppf "@[<v2>plan for %a:@ base: %a@ %a@]" Rule.pp plan.rule pp_instance
-    plan.base
-    (Fmt.list ~sep:Fmt.cut (fun ppf (i, inst) ->
-         Fmt.pf ppf "delta@%d: %a" i pp_instance inst))
-    plan.delta
+  go 0

@@ -1,88 +1,93 @@
 (** Rule compilation: each rule is translated once (per stratum) into an
-    executable join plan, so that the per-probe work of the bottom-up
-    engines is a pure index lookup.
+    executable join plan over integer variable slots, so that the
+    per-probe work of the bottom-up engines is an index lookup on
+    interned values.
 
-    The seed engine re-derived each literal's binding pattern on every
-    probe: it instantiated all arguments under the current substitution,
-    scanned them with [Term.is_ground] to build a boolean pattern, and
-    converted lists to arrays for the index key.  All of that is static —
-    which argument positions are ground when evaluation reaches a literal
-    is determined by which variables the body prefix has already bound.
-    Compilation computes it once:
+    Which argument positions are ground when evaluation reaches a literal
+    is determined by which variables the body prefix has already bound,
+    so compilation fixes it once:
 
+    - every variable of an instance gets a {e slot}, numbered in binding
+      order; the substitution is a [Value.t array] of those slots, and a
+      slot is only read after a write on the current path;
     - a static binding {e pattern} per positive body literal (the adorned
       view of the rule, computed exactly as Section 3 of Beeri &
-      Ramakrishnan computes adornments, but at the engine level);
-    - precomputed {e key slots}: for each bound position, whether the
-      value is a compile-time constant, a direct variable read, or an
-      arithmetic expression that must be evaluated at probe time (the
-      resolved arithmetic-evaluation points of the counting rewritings);
-    - the residual {e free} positions that must be matched against
-      retrieved tuples;
-    - a fully-bound fast path: a literal with no free position is a
-      membership test ([Relation.mem]), not an index enumeration;
+      Ramakrishnan computes adornments, but at the engine level), with
+      one {e key} expression per bound position and one match
+      {e pattern} per free position;
+    - expressions evaluate bound terms over slots: constants are interned
+      at compile time, compound terms are hash-consed one node at a time
+      ({!Value.app}), and the counting rewrites' index arithmetic is
+      integer arithmetic that raises {!Datalog.Term.Arithmetic_overflow}
+      like {!Datalog.Term.eval};
+    - patterns destructure interned compound values without leaving the
+      value pool, and solve [x + c] and [x * c] for [x] (the semijoin
+      counting rules);
+    - builtins are slot comparisons; [=] binds a free side, checks a
+      bound one, or destructures a compound, and is placed only once one
+      side is bound;
+    - negation is a membership test of a fully bound key;
+    - a literal with no free position is a membership test, not an index
+      enumeration;
     - one {e instance} per semi-naive delta position (body positions
       reading predicates that grow in the current stratum), with the
       delta literal moved to the front of the join and the remaining
       literals ordered greedily by boundness, so a round's work is
       proportional to the delta rather than to whichever relation the
-      rule happens to mention first;
-    - a precompiled head emitter producing ground tuples directly when
-      the head is statically safe.
+      rule happens to mention first.
 
-    Executing the base instance is behaviourally identical to solving the
-    rule body left-to-right with {!Solve.solve}; delta instances compute
-    the same solution set (joins commute; sources are attached to body
-    positions, not execution order).  The equivalence is locked by the
-    cross-engine property tests. *)
+    The base instance keeps the rule's own literal order, so executing
+    it is behaviourally identical to solving the rule body left-to-right
+    with {!Solve.solve}, including where an {!Solve.Unsafe} is raised;
+    delta instances compute the same solution set (joins commute; sources
+    are attached to body positions, not execution order).  The
+    equivalence is locked by the cross-engine property tests. *)
 
 open Datalog
 
-type slot =
-  | Const of Term.t  (** compile-time ground constant (no arithmetic) *)
-  | Bound of string  (** variable guaranteed bound to a ground term *)
-  | Expr of Term.t
-      (** instantiate under the substitution and evaluate arithmetic at
-          probe time *)
+type expr =
+  | Val of Value.t  (** a ground constant without arithmetic *)
+  | Slot of int  (** a bound variable *)
+  | Fn of string * expr array  (** a compound term *)
+  | Add of expr * expr
+  | Mul of expr * expr
+  | Div of expr * expr
+
+type pat =
+  | Bind of int  (** first occurrence of a variable: write its slot *)
+  | Eq of expr  (** a bound term: the value must equal it *)
+  | Args of string * pat array  (** a compound of this functor and arity *)
+  | Minus of pat * expr  (** [x + c]: match [x] against [v - c] *)
+  | Over of pat * expr  (** [x * c]: match [x] against [v / c] if [c] divides [v] *)
+  | Never  (** arithmetic that cannot be solved: matches nothing *)
 
 type scan = {
   lit : int;  (** original body position, identifies the literal to the source *)
   sym : Symbol.t;
   pattern : bool array;  (** static binding pattern over argument positions *)
-  key : slot array;  (** one slot per bound position, in order *)
-  free : (int * Term.t) list;  (** residual positions to match, in order *)
-  all_bound : bool;  (** no free position: use a membership test *)
+  key : expr array;  (** one expression per bound position, in order *)
+  free : (int * pat) array;
+      (** residual positions, matched in order; empty for a membership
+          test *)
 }
 
 type step =
   | Scan of scan  (** positive literal over a stored relation *)
-  | Builtin of Atom.t  (** positive builtin comparison *)
-  | Neg_builtin of Atom.t  (** negated builtin *)
-  | Neg_scan of { lit : int; sym : Symbol.t; atom : Atom.t; key : slot array option }
-      (** negated relation literal at original body position [lit];
-          [key] is [Some] when every argument is statically ground at
-          this point (the common case), [None] when groundness must be
-          re-checked dynamically *)
+  | Test of { l : expr; r : expr; holds : Value.t -> Value.t -> bool }
+      (** a comparison over bound terms, or a negated builtin *)
+  | Unify of { value : expr; pat : pat }  (** [=] with a bound side *)
+  | Neg of { lit : int; sym : Symbol.t; key : expr array }
+      (** negated relation literal at original body position [lit] *)
+  | Unsafe of (Value.t array -> string)
+      (** a builtin, negation or head reached with unbound variables:
+          raises {!Solve.Unsafe} with this message when reached *)
 
-type emit =
-  | Direct of Symbol.t * slot array
-      (** head statically safe: every head variable is bound by the body *)
-  | Dynamic of Atom.t
-      (** groundness only decidable at run time; instantiate and check,
-          raising {!Solve.Unsafe} exactly as the uncompiled engine did *)
-
-type fast
-(** Integer-slot compiled form of a pure-relational instance: the
-    substitution is a [Value.t array] indexed by compile-time variable
-    numbers, eliminating map allocation from the inner join loop; key
-    constants are pre-interned and probe keys are written into per-scan
-    buffers, so a probe allocates nothing.  All executor scratch (env
-    and key buffers) is allocated per {!run} call, never shared between
-    runs, so the same instance can run nested (re-entrant [on_fact]).
-    Instances using builtins, negation, arithmetic or dynamic heads fall
-    back to the substitution-based executor. *)
-
-type instance = { steps : step array; head : emit; fast : fast option }
+type instance = {
+  steps : step array;
+  head_sym : Symbol.t;
+  head : expr array;  (** unused when the last step is [Unsafe] *)
+  nvars : int;
+}
 (** One executable join order for the rule.  Steps carry original body
     positions, so the same [source] works for every instance. *)
 
@@ -90,8 +95,7 @@ type t = {
   rule : Rule.t;
   base : instance;
       (** the rule's own literal order: used by naive rounds and the
-          semi-naive round 0, so those behave exactly like the uncompiled
-          engine (including which literal an [Unsafe] is reported for) *)
+          semi-naive round 0 *)
   delta : (int * instance) list;
       (** per delta position [i], an instance whose join starts at body
           position [i]; used by semi-naive rounds after the first *)
@@ -128,9 +132,6 @@ val full : Relation.t -> view
 val db_source : Database.t -> source
 (** Every literal reads the full database. *)
 
-val view_mem : view list -> Tuple.t -> bool
-(** Membership in the union of the views. *)
-
 val run :
   ?stats:Stats.t ->
   source:source ->
@@ -143,11 +144,6 @@ val run :
     [neg_source] must be complete for every negated predicate
     (guaranteed by stratification); it receives the negated literal's
     original body position, so maintenance passes can serve different
-    snapshots to different occurrences of the same predicate. *)
-
-val head_symbol : instance -> Symbol.t option
-(** The fixed head predicate of a statically-safe instance; [None] for
-    dynamic heads (whose predicate is only known per emission). *)
-
-val pp : t Fmt.t
-(** Human-readable plan listing (instances, binding patterns, slots). *)
+    snapshots to different occurrences of the same predicate.  Scratch
+    is allocated per call, so [on_fact] may run the same instance again.
+    @raise Solve.Unsafe when an [Unsafe] step is reached. *)

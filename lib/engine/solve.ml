@@ -15,7 +15,7 @@ let atom_matches ?stats src atom subst k =
   | None -> ()
   | Some rel ->
     bump_probes stats;
-    let args = List.map (fun t -> Term.eval (Subst.apply subst t)) atom.Atom.args in
+    let args = List.map (fun t -> Term.eval (Subst.apply_deep subst t)) atom.Atom.args in
     let pattern = Array.of_list (List.map Term.is_ground args) in
     (* a ground key component that was never interned occurs in no
        relation, so the probe is a guaranteed miss *)
@@ -40,8 +40,8 @@ let term_int t =
 let eval_builtin atom subst k =
   match atom.Atom.args with
   | [ lhs; rhs ] -> begin
-    let l = Term.eval (Subst.apply subst lhs) in
-    let r = Term.eval (Subst.apply subst rhs) in
+    let l = Term.eval (Subst.apply_deep subst lhs) in
+    let r = Term.eval (Subst.apply_deep subst rhs) in
     match atom.Atom.pred with
     | "=" -> begin
       (* equality may bind variables on either side *)
@@ -83,7 +83,7 @@ let solve ?stats ~source ~neg_source body subst k =
     | Rule.Pos atom :: rest ->
       atom_matches ?stats (source i) atom subst (fun s -> go (i + 1) rest s)
     | Rule.Neg atom :: rest ->
-      let a = Atom.apply_eval subst atom in
+      let a = Atom.apply_deep_eval subst atom in
       if not (Atom.is_ground a) then
         raise (Unsafe (Fmt.str "negated literal %a reached with unbound variables" Atom.pp a))
       else begin
@@ -111,7 +111,7 @@ let solve ?stats ~source ~neg_source body subst k =
 
 let fire_rule ?stats ~source ~neg_source ~on_fact rule =
   solve ?stats ~source ~neg_source rule.Rule.body Subst.empty (fun subst ->
-      let head = Atom.apply_eval subst rule.Rule.head in
+      let head = Atom.apply_deep_eval subst rule.Rule.head in
       if not (Atom.is_ground head) then
         raise (Unsafe (Fmt.str "rule for %a derived non-ground head %a" Atom.pp
                          rule.Rule.head Atom.pp head));

@@ -1,8 +1,12 @@
-(** Left-to-right body solving shared by the bottom-up engines.
+(** Uncompiled left-to-right body solving over substitutions: the
+    reference semi-naive engine ({!Eval.seminaive_reference}) and the
+    oracle of the top-down engines and [explain].  The compiled engines
+    run {!Plan} instead.
 
     A body is solved against relation sources by nested index joins: each
-    positive literal is instantiated with the current substitution, its
-    ground argument positions become an index key, and the remaining
+    positive literal is instantiated with the current substitution
+    (applied deeply, so a chain of variable-to-variable bindings resolves),
+    its ground argument positions become an index key, and the remaining
     arguments are matched against the retrieved tuples.  Builtin
     comparison literals are evaluated natively; negated literals are
     checked against a (complete) source and must be ground when reached. *)

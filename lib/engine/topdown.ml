@@ -96,8 +96,26 @@ module CallMap = Map.Make (struct
   let compare = Atom.compare
 end)
 
-let tabled ?(max_passes = 1_000_000) program ~edb query =
+let rec tabled ?(max_passes = 1_000_000) program ~edb query =
   let stats = Stats.create () in
+  let complete = ref true in
+  (* A negated derived subgoal is decided on its complete table: the
+     program is stratified, so the ground subgoal depends only on lower
+     strata and is evaluated to its own fixpoint, once per atom.  Testing
+     it against the shared table mid-fixpoint would read a table that may
+     still grow. *)
+  let negated = Hashtbl.create 16 in
+  let holds_negated a =
+    match Hashtbl.find_opt negated a with
+    | Some holds -> holds
+    | None ->
+      let sub = tabled ~max_passes program ~edb a in
+      Stats.absorb ~into:stats sub.stats;
+      if not sub.complete then complete := false;
+      let holds = sub.answers <> [] in
+      Hashtbl.add negated a holds;
+      holds
+  in
   let derived = Program.derived program in
   let edb_source sym = Database.find edb sym in
   let table : Tuple.Set.t ref CallMap.t ref = ref CallMap.empty in
@@ -166,14 +184,7 @@ let tabled ?(max_passes = 1_000_000) program ~edb query =
                 raise (Solve.Unsafe (Fmt.str "negated literal %a not ground" Atom.pp a))
               else begin
                 let holds =
-                  if Symbol.Set.mem (Atom.symbol a) derived then begin
-                    (* register first: the subgoal must be tabled even
-                       when the membership test misses *)
-                    let sub_answers = register a in
-                    match Tuple.find_of_list a.Atom.args with
-                    | None -> false
-                    | Some t -> Tuple.Set.mem t !sub_answers
-                  end
+                  if Symbol.Set.mem (Atom.symbol a) derived then holds_negated a
                   else
                     match edb_source (Atom.symbol a) with
                     | None -> false
@@ -190,7 +201,6 @@ let tabled ?(max_passes = 1_000_000) program ~edb query =
   in
   let root = register query in
   let passes = ref 0 in
-  let complete = ref true in
   while !changed do
     changed := false;
     incr passes;

@@ -23,19 +23,16 @@ open Datalog
 
 type t = int
 
-type node =
-  | Nint of int
-  | Nsym of string
-  | Napp of string * int array
+type node = Int of int | Sym of string | App of string * t array
 
 module Node = struct
   type t = node
 
   let equal a b =
     match (a, b) with
-    | Nint i, Nint j -> Int.equal i j
-    | Nsym s, Nsym u -> String.equal s u
-    | Napp (f, xs), Napp (g, ys) ->
+    | Int i, Int j -> Int.equal i j
+    | Sym s, Sym u -> String.equal s u
+    | App (f, xs), App (g, ys) ->
       String.equal f g
       && Array.length xs = Array.length ys
       &&
@@ -44,9 +41,9 @@ module Node = struct
     | _ -> false
 
   let hash = function
-    | Nint i -> i land max_int
-    | Nsym s -> Hashtbl.hash s
-    | Napp (f, xs) ->
+    | Int i -> i land max_int
+    | Sym s -> Hashtbl.hash s
+    | App (f, xs) ->
       Array.fold_left (fun h id -> ((h * 31) + id) land max_int) (Hashtbl.hash f) xs
 end
 
@@ -56,9 +53,9 @@ module Ntbl = Hashtbl.Make (Node)
    [nodes] mirrors [terms] with the structural node of each id (shared
    with the intern-table key), so the pool can be walked in dense-id
    order without re-deriving child ids — the snapshot writer's linear
-   scan ({!view}). *)
+   scan — and the rule executor can destructure a value ({!node}). *)
 let terms : Term.t array ref = ref (Array.make 1024 (Term.Int 0))
-let nodes : node array ref = ref (Array.make 1024 (Nint 0))
+let nodes : node array ref = ref (Array.make 1024 (Int 0))
 let count = ref 0
 let ids : int Ntbl.t = Ntbl.create 4096
 
@@ -69,7 +66,7 @@ let push term node =
     let bigger = Array.make (2 * !count) (Term.Int 0) in
     Array.blit !terms 0 bigger 0 !count;
     terms := bigger;
-    let bigger_nodes = Array.make (2 * !count) (Nint 0) in
+    let bigger_nodes = Array.make (2 * !count) (Int 0) in
     Array.blit !nodes 0 bigger_nodes 0 !count;
     nodes := bigger_nodes
   end;
@@ -88,11 +85,11 @@ let alloc node canonical =
 
 let rec intern t =
   match t with
-  | Term.Int i -> alloc (Nint i) t
-  | Term.Sym s -> alloc (Nsym s) t
+  | Term.Int i -> alloc (Int i) t
+  | Term.Sym s -> alloc (Sym s) t
   | Term.App (f, args) ->
     let kids = Array.of_list (List.map intern args) in
-    let node = Napp (f, kids) in
+    let node = App (f, kids) in
     (match Ntbl.find_opt ids node with
     | Some id -> id
     | None ->
@@ -115,11 +112,11 @@ let rec intern t =
 
 let rec find t =
   match t with
-  | Term.Int i -> Ntbl.find_opt ids (Nint i)
-  | Term.Sym s -> Ntbl.find_opt ids (Nsym s)
+  | Term.Int i -> Ntbl.find_opt ids (Int i)
+  | Term.Sym s -> Ntbl.find_opt ids (Sym s)
   | Term.App (f, args) ->
     let rec kids acc = function
-      | [] -> Ntbl.find_opt ids (Napp (f, Array.of_list (List.rev acc)))
+      | [] -> Ntbl.find_opt ids (App (f, Array.of_list (List.rev acc)))
       | x :: rest -> ( match find x with Some id -> kids (id :: acc) rest | None -> None)
     in
     kids [] args
@@ -142,28 +139,28 @@ let equal : t -> t -> bool = Int.equal
 let hash (id : t) = id
 let compare : t -> t -> int = Int.compare
 
-(* Structural export for serialization.  Children of an [App] were
-   interned before it, so walking ids [0 .. pool_size () - 1] and
-   writing each view yields a stream where every child reference points
-   backwards — the loader's single-pass remap invariant. *)
-let view id =
+(* The structural node, shared with the pool: no copy, no allocation.
+   Children of an [App] were interned before it, so walking ids
+   [0 .. pool_size () - 1] and writing each node yields a stream where
+   every child reference points backwards — the snapshot loader's
+   single-pass remap invariant. *)
+let node id =
   if id < 0 || id >= !count then
-    invalid_arg (Fmt.str "Value.view: unknown id %d" id);
-  match !nodes.(id) with
-  | Nint i -> `Int i
-  | Nsym s -> `Sym s
-  | Napp (f, kids) -> `App (f, Array.copy kids)
+    invalid_arg (Fmt.str "Value.node: unknown id %d" id);
+  !nodes.(id)
+
+let int i = alloc (Int i) (Term.Int i)
 
 (* Intern an application from already-interned children without
-   re-walking their term trees: the snapshot loader's O(1)-per-node
-   reconstruction. *)
+   re-walking their term trees: O(1) per node.  [kids] becomes the
+   pool's own array when the node is new. *)
 let app f kids =
   Array.iter
     (fun k ->
       if k < 0 || k >= !count then
         invalid_arg (Fmt.str "Value.app: unknown child id %d" k))
     kids;
-  let node = Napp (f, Array.copy kids) in
+  let node = App (f, kids) in
   match Ntbl.find_opt ids node with
   | Some id -> id
   | None ->

@@ -40,17 +40,26 @@ val compare_structural : t -> t -> int
 val pool_size : unit -> int
 (** Number of distinct values interned so far (App arguments included). *)
 
-val view : t -> [ `Int of int | `Sym of string | `App of string * t array ]
+type node = private Int of int | Sym of string | App of string * t array
+
+val node : t -> node
 (** The structural node of a value, with [App] children as value ids.
-    Children are always interned before their parent, so a scan of ids
-    [0 .. pool_size () - 1] emits every child before the node that
-    references it — the invariant the snapshot writer relies on.
-    @raise Invalid_argument if no such value was interned. *)
+    No copy is made: the child array is the pool's own and must not be
+    mutated.  Children are always interned before their parent, so a
+    scan of ids [0 .. pool_size () - 1] emits every child before the
+    node that references it — the invariant the snapshot writer relies
+    on.  @raise Invalid_argument if no such value was interned. *)
+
+val int : int -> t
+(** [int i] is [intern (Int i)], without building the term first. *)
 
 val app : string -> t array -> t
 (** Intern an application node directly from already-interned children,
-    without re-walking their term trees; O(1) per node.  Used by the
-    snapshot loader to rebuild a persisted pool with a single forward
-    pass.  @raise Invalid_argument if any child id was never interned. *)
+    without re-walking their term trees; O(1) per node.  The array is
+    taken over by the pool if the node is new, so the caller must not
+    mutate it afterwards.  Used by the snapshot loader to rebuild a
+    persisted pool in one forward pass, and by the rule executor to
+    build compound head values.
+    @raise Invalid_argument if any child id was never interned. *)
 
 val pp : t Fmt.t

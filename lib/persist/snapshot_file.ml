@@ -43,14 +43,14 @@ let vals_payload () =
   let b = Buffer.create (16 * n) in
   Codec.u32 b n;
   for id = 0 to n - 1 do
-    match Value.view (Value.of_int id) with
-    | `Int i ->
+    match Value.node (Value.of_int id) with
+    | Value.Int i ->
       Codec.u8 b 0;
       Codec.i64 b i
-    | `Sym s ->
+    | Value.Sym s ->
       Codec.u8 b 1;
       Codec.str b s
-    | `App (f, kids) ->
+    | Value.App (f, kids) ->
       Codec.u8 b 2;
       Codec.str b f;
       Codec.u32 b (Array.length kids);

@@ -39,6 +39,11 @@ let test_arity_clash () =
 let test_comparison_unbound () =
   check_errors "E002" "n(1).\nbig(X) :- n(X), Y > 3.\n?- big(1)." [ "E002" ]
 
+let test_equality_unbound () =
+  check_errors "E002 on an equality with no bound side"
+    "q(b).\np(a) :- q(b), X = Y.\n?- p(A)." [ "E002" ];
+  check_errors "an equality chain binds" "q(1).\np(X) :- X = Y, Y = 3.\n?- p(A)." []
+
 let test_parse_error () = check_errors "E100 syntax" "p(a, b.\n?- p(X, Y)." [ "E100" ]
 let test_lex_error () = check_errors "E100 lexical" "p(a) # q(b).\n?- p(X)." [ "E100" ]
 
@@ -370,6 +375,36 @@ let prop_preflight_subset =
       let pre = A.preflight ?query program in
       List.for_all A.Diagnostic.is_error pre)
 
+(* Preflight is linear in the program: span lookups index arrays, so
+   the two-rule transitive closure over 4N edge facts costs at most a
+   small multiple of what it costs over N.  An O(clauses) span lookup
+   per literal made it quadratic while allocating linearly, so the
+   bound is on CPU time (best of five runs, to shed scheduler noise). *)
+let test_preflight_linear () =
+  let cost n =
+    let buf = Buffer.create (n * 16) in
+    Buffer.add_string buf "tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n";
+    for i = 0 to n - 1 do
+      Buffer.add_string buf (Fmt.str "e(n%d, n%d).\n" i (i + 1))
+    done;
+    Buffer.add_string buf "?- tc(n0, Y).\n";
+    match Parser.parse_program_spanned (Buffer.contents buf) with
+    | Error _ -> Alcotest.fail "generated program does not parse"
+    | Ok (program, query, srcmap) ->
+      let once () =
+        let t0 = Sys.time () in
+        let errors = A.preflight ~srcmap ?query program in
+        let t1 = Sys.time () in
+        Alcotest.(check int) "no errors" 0 (List.length errors);
+        t1 -. t0
+      in
+      List.fold_left min infinity (List.init 5 (fun _ -> once ()))
+  in
+  let small = cost 4000 and large = cost 16000 in
+  if large > 8. *. small then
+    Alcotest.failf "preflight took %.3f s at 16000 facts, %.1fx its %.3f s at 4000" large
+      (large /. small) small
+
 let suite =
   [
     Alcotest.test_case "E003 unsafe head" `Quick test_unsafe_head;
@@ -377,6 +412,7 @@ let suite =
     Alcotest.test_case "E010 unstratified" `Quick test_unstratified;
     Alcotest.test_case "E020 arity clash" `Quick test_arity_clash;
     Alcotest.test_case "E002 comparison unbound" `Quick test_comparison_unbound;
+    Alcotest.test_case "E002 equality unbound" `Quick test_equality_unbound;
     Alcotest.test_case "E100 parse error" `Quick test_parse_error;
     Alcotest.test_case "E100 lex error" `Quick test_lex_error;
     Alcotest.test_case "equality binds comparisons" `Quick test_equality_binds;
@@ -401,4 +437,5 @@ let suite =
       test_footprint_through_magic;
     prop_accepts_valid_programs;
     prop_preflight_subset;
+    Alcotest.test_case "preflight is linear" `Quick test_preflight_linear;
   ]

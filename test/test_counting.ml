@@ -87,6 +87,27 @@ let test_path_still_diverges_on_cycles () =
   in
   Alcotest.(check bool) "diverged" true (r.C.Rewrite.status = C.Rewrite.Diverged)
 
+(* Section 11's path terms are compound heads and compound patterns:
+   the executor matches and builds them on interned values, so a run
+   allocates in proportion to its facts.  Converting the growing path
+   terms to and from [Term.t] on every match would make the cyclic
+   examples/paths.dl quadratic in its fact budget. *)
+let test_path_terms_allocate_linearly () =
+  let program, query, edb =
+    load (In_channel.with_open_bin "../examples/paths.dl" In_channel.input_all)
+  in
+  let words max_facts =
+    let before = Gc.minor_words () in
+    let r = run_method ~max_facts "gc-path" program query edb in
+    let after = Gc.minor_words () in
+    Alcotest.(check bool) "diverged" true (r.C.Rewrite.status = C.Rewrite.Diverged);
+    after -. before
+  in
+  let small = words 2000 and large = words 8000 in
+  if large > 6. *. small then
+    Alcotest.failf "gc-path allocated %.0f words at 8000 facts, %.1fx its %.0f at 2000"
+      large (large /. small) small
+
 let test_unsupported_unbound_head () =
   (* counting requires indices to flow from the query; a rule whose head
      is unbound but whose body has a bound derived occurrence is rejected.
@@ -136,6 +157,8 @@ let suite =
     Alcotest.test_case "path encoding deep chain" `Quick test_path_encoding_no_overflow;
     Alcotest.test_case "path encoding structure" `Quick test_path_encoding_structure;
     Alcotest.test_case "path diverges on cycles" `Quick test_path_still_diverges_on_cycles;
+    Alcotest.test_case "path terms allocate linearly" `Quick
+      test_path_terms_allocate_linearly;
     Alcotest.test_case "unbound head rejected" `Quick test_unsupported_unbound_head;
     Alcotest.test_case "gsc = gc answers" `Quick test_gsc_equals_gc_answers;
     Alcotest.test_case "indices encode depth" `Quick test_indices_identify_levels;
